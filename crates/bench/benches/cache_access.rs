@@ -5,11 +5,18 @@
 //! is millions of these calls — so the bench doubles as the wall-clock
 //! evidence for the hot-path overhaul (see DESIGN.md §11).
 //!
+//! The `cache_sweep` group times the three phases of a Prime+Probe
+//! observation on one 16-way set through `Cache::access_batch_from`'s
+//! same-set sweep (DESIGN.md §15): the prime of an empty set, the in-order
+//! probe of a primed set nobody touched (every re-read hits at the queue
+//! head), and the probe of a set one victim line has touched (the LRU
+//! thrash: every re-read misses on the line just evicted).
+//!
 //! Set `GRINCH_BENCH_SMOKE=1` to shrink sampling for CI smoke runs.
 
 use std::time::Duration;
 
-use cache_sim::{Cache, CacheConfig};
+use cache_sim::{Cache, CacheConfig, Domain};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use grinch_telemetry::Telemetry;
 
@@ -55,5 +62,57 @@ fn bench_cache_access(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache_access);
+fn bench_sweep_phases(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cache_sweep");
+    smoke(&mut group);
+    let config = CacheConfig::grinch_default();
+    // `ways` attacker lines and one victim line, all in set 5.
+    let stride = (config.line_bytes * config.num_sets) as u64;
+    let set_addr = |t: u64| 5 * config.line_bytes as u64 + t * stride;
+    let prime: Vec<u64> = (0..config.ways as u64).map(set_addr).collect();
+    let victim = set_addr(config.ways as u64 + 1);
+
+    // Each iteration also empties the cache: one occupied set to clear.
+    let mut cache = Cache::new(config);
+    group.bench_function("prime_empty_set", |b| {
+        b.iter(|| {
+            cache.flush_all_from(Domain::Attacker);
+            cache.access_batch_from(black_box(&prime), Domain::Attacker, |_, o| {
+                black_box(o);
+            });
+        })
+    });
+
+    // An in-order LRU re-read leaves the set as it found it, so the probe
+    // repeats on an identical primed set.
+    let mut cache = Cache::new(config);
+    cache.access_batch_from(&prime, Domain::Attacker, |_, _| {});
+    group.bench_function("probe_untouched_set", |b| {
+        b.iter(|| {
+            let mut misses = 0u32;
+            cache.access_batch_from(black_box(&prime), Domain::Attacker, |_, o| {
+                misses += o.is_miss() as u32;
+            });
+            misses
+        })
+    });
+
+    // The thrash ends with the primes resident again and the victim line
+    // evicted, so each iteration re-touches the set with one victim access.
+    let mut cache = Cache::new(config);
+    cache.access_batch_from(&prime, Domain::Attacker, |_, _| {});
+    group.bench_function("probe_touched_set", |b| {
+        b.iter(|| {
+            cache.access_from(black_box(victim), Domain::Victim);
+            let mut misses = 0u32;
+            cache.access_batch_from(black_box(&prime), Domain::Attacker, |_, o| {
+                misses += o.is_miss() as u32;
+            });
+            misses
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_cache_access, bench_sweep_phases);
 criterion_main!(benches);

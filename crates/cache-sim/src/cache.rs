@@ -393,16 +393,21 @@ impl Cache {
     }
 
     /// Runs a same-set run of accesses with the set's next-victim order
-    /// held in a queue, so each miss fills in O(1) instead of rescanning
-    /// the ways. Outcomes, statistics, replacement clocks and final cache
-    /// state are identical to calling [`Cache::access_core`] per address:
-    /// the queue starts as [invalid ways in ascending position, then valid
-    /// ways in ascending `(meta, position)`] — exactly the order the
-    /// per-access first-invalid / first-minimum scans produce — and every
-    /// fill takes the freshest clock value, which is precisely a ring
-    /// rotation. Only an LRU hit reorders (the touched way becomes
-    /// newest), handled explicitly. The mapper is still noted per access;
-    /// if it re-keys, the access that triggered it lands in the freshly
+    /// held in a queue, so each access costs O(1) in the common cases
+    /// instead of rescanning the ways. Outcomes, statistics, replacement
+    /// clocks and final cache state are identical to calling
+    /// [`Cache::access_core`] per address: the queue starts as [invalid
+    /// ways in ascending position, then valid ways in ascending `(meta,
+    /// position)`] — exactly the order the per-access first-invalid /
+    /// first-minimum scans produce — and every fill takes the freshest
+    /// clock value, which is precisely a ring rotation. Only an LRU hit
+    /// reorders (the touched way becomes newest): at the queue head that
+    /// is again a rotation, elsewhere an explicit shift. Lookups check the
+    /// head's tag first (a probe re-reading its lines in prime order hits
+    /// there), treat the line this run evicted last as a certain miss (the
+    /// next read of an LRU/FIFO thrash), and otherwise scan only up to the
+    /// highest valid way. The mapper is still noted per access; if it
+    /// re-keys, the access that triggered it lands in the freshly
     /// invalidated cache (a miss filling the first way of its new set) and
     /// the sweep returns early so the caller re-groups under the new
     /// mapping. Returns how many of `addrs` were consumed. Caller
@@ -419,101 +424,155 @@ impl Cache {
         let base = set_idx * self.config.ways;
         let (start, end) = (base + lo, base + hi);
         let n = end - start;
-
-        let mut queue = std::mem::take(&mut self.sweep_queue);
-        queue.clear();
-        queue.extend((start..end).filter(|&w| self.lines[w] == INVALID_LINE));
-        let invalids = queue.len();
-        queue.extend((start..end).filter(|&w| self.lines[w] != INVALID_LINE));
-        // `(meta, way)` keying reproduces `min_by_key`'s first-minimum
-        // tie-break; live metas are distinct clock draws anyway.
-        queue[invalids..].sort_unstable_by_key(|&w| (self.meta[w], w));
-        let mut head = 0usize;
+        let wrap_inc = |p: usize| if p + 1 == n { 0 } else { p + 1 };
+        let was_empty = self.occupied[set_idx >> 6] & (1 << (set_idx & 63)) == 0;
         // One conservative mark covers every fill this run can make.
         self.mark_occupied(set_idx);
+        let stateless = self.mapper.is_access_stateless();
+        let config = self.config;
+        // Field-disjoint borrows of the domain's ways; the queue and the
+        // scan work in way indices relative to `start`.
+        let Self {
+            lines,
+            meta,
+            replacement,
+            mapper,
+            sweep_queue: queue,
+            ..
+        } = self;
+        let lines = &mut lines[start..end];
+        let meta = &mut meta[start..end];
+        let replacement = &mut replacement[set_idx];
 
-        for (consumed, &addr) in addrs.iter().enumerate() {
-            if self.mapper.note_access() {
-                // Epoch boundary mid-run: everything resident is orphaned
-                // by the new permutation, and this access proceeds against
-                // the empty cache — a miss that fills the first way of its
-                // (re-mapped) set. Identical to `access_core`'s remap path.
-                self.invalidate_all();
-                self.stats.remaps += 1;
-                let line = self.config.line_of(addr);
-                let new_set = self.mapper.set_of(line, self.config.num_sets);
-                let slot = new_set * self.config.ways + lo;
-                self.stats.misses += 1;
-                self.lines[slot] = line;
-                self.meta[slot] = self.replacement[new_set].on_fill();
-                self.mark_occupied(new_set);
-                let outcome = AccessOutcome {
-                    hit: false,
-                    latency: self.config.miss_latency,
-                    evicted_line: None,
-                };
-                tally.note(&outcome, true);
-                sink(addr, outcome);
-                self.sweep_queue = queue;
-                return consumed + 1;
+        queue.clear();
+        // One past the highest valid way: no way at or above it can hit.
+        let mut top = 0;
+        if was_empty {
+            // Never filled since it was last emptied: every way is invalid,
+            // so the first-invalid order is the identity.
+            queue.extend(0..n);
+        } else {
+            queue.extend((0..n).filter(|&w| lines[w] == INVALID_LINE));
+            let invalids = queue.len();
+            queue.extend((0..n).filter(|&w| lines[w] != INVALID_LINE));
+            // `(meta, way)` keying reproduces `min_by_key`'s first-minimum
+            // tie-break; live metas are distinct clock draws anyway.
+            queue[invalids..].sort_unstable_by_key(|&w| (meta[w], w));
+            top = queue[invalids..].iter().max().map_or(0, |&w| w + 1);
+        }
+        let mut head = 0usize;
+        // Once a run evicts, no invalid way is left and every later miss
+        // evicts too, so the line evicted last cannot have come back.
+        let mut last_evicted = INVALID_LINE;
+        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+        let mut rekeyed_at = None;
+
+        for (i, &addr) in addrs.iter().enumerate() {
+            if !stateless && mapper.note_access() {
+                rekeyed_at = Some(i);
+                break;
             }
-            let line = self.config.line_of(addr);
+            let line = config.line_of(addr);
             debug_assert_ne!(line, INVALID_LINE);
-            if let Some(slot) = self.lines[start..end].iter().position(|&l| l == line) {
-                let hit_slot = start + slot;
-                let old = self.meta[hit_slot];
-                let new = self.replacement[set_idx].on_hit(old);
-                self.stats.hits += 1;
-                if new != old {
-                    // LRU touch: the way becomes the newest — move it to
-                    // the back of the victim queue.
-                    self.meta[hit_slot] = new;
-                    let pos = (head..head + n)
-                        .map(|p| p % n)
-                        .find(|&p| queue[p] == hit_slot)
-                        .expect("hit way must be queued");
-                    let mut p = pos;
-                    loop {
-                        let next = (p + 1) % n;
-                        if next == head {
-                            break;
-                        }
-                        queue[p] = queue[next];
-                        p = next;
-                    }
-                    queue[p] = hit_slot;
-                }
-                let outcome = AccessOutcome {
-                    hit: true,
-                    latency: self.config.hit_latency,
-                    evicted_line: None,
-                };
-                tally.note(&outcome, false);
-                sink(addr, outcome);
-                continue;
-            }
-            self.stats.misses += 1;
-            let fill_meta = self.replacement[set_idx].on_fill();
-            let w = queue[head];
-            head = (head + 1) % n;
-            let evicted_line = if self.lines[w] == INVALID_LINE {
+            let h = queue[head];
+            let hit_way = if lines[h] == line {
+                Some(h)
+            } else if line == last_evicted {
                 None
             } else {
-                self.stats.evictions += 1;
-                Some(self.lines[w])
+                lines[..top].iter().position(|&l| l == line)
             };
-            self.lines[w] = line;
-            self.meta[w] = fill_meta;
-            let outcome = AccessOutcome {
-                hit: false,
-                latency: self.config.miss_latency,
-                evicted_line,
+            if let Some(w) = hit_way {
+                hits += 1;
+                let old = meta[w];
+                let new = replacement.on_hit(old);
+                if new != old {
+                    // LRU touch: the way becomes the newest — move it to
+                    // the back of the victim queue (at the head, that is
+                    // a plain rotation).
+                    meta[w] = new;
+                    if w == h {
+                        head = wrap_inc(head);
+                    } else {
+                        let mut p = head;
+                        while queue[p] != w {
+                            p = wrap_inc(p);
+                        }
+                        loop {
+                            let next = wrap_inc(p);
+                            if next == head {
+                                break;
+                            }
+                            queue[p] = queue[next];
+                            p = next;
+                        }
+                        queue[p] = w;
+                    }
+                }
+                sink(
+                    addr,
+                    AccessOutcome {
+                        hit: true,
+                        latency: config.hit_latency,
+                        evicted_line: None,
+                    },
+                );
+                continue;
+            }
+            misses += 1;
+            let fill_meta = replacement.on_fill();
+            head = wrap_inc(head);
+            let evicted_line = if lines[h] == INVALID_LINE {
+                None
+            } else {
+                evictions += 1;
+                last_evicted = lines[h];
+                Some(last_evicted)
             };
-            tally.note(&outcome, false);
-            sink(addr, outcome);
+            lines[h] = line;
+            meta[h] = fill_meta;
+            top = top.max(h + 1);
+            sink(
+                addr,
+                AccessOutcome {
+                    hit: false,
+                    latency: config.miss_latency,
+                    evicted_line,
+                },
+            );
         }
-        self.sweep_queue = queue;
-        addrs.len()
+        self.stats.hits += hits;
+        self.stats.misses += misses;
+        self.stats.evictions += evictions;
+        tally.hits += hits;
+        tally.misses += misses;
+        tally.evictions += evictions;
+
+        let Some(i) = rekeyed_at else {
+            return addrs.len();
+        };
+        // Epoch boundary mid-run: everything resident is orphaned by the
+        // new permutation, and the triggering access proceeds against the
+        // empty cache — a miss that fills the first way of its (re-mapped)
+        // set. Identical to `access_core`'s remap path.
+        let addr = addrs[i];
+        self.invalidate_all();
+        self.stats.remaps += 1;
+        let line = config.line_of(addr);
+        let new_set = self.mapper.set_of(line, config.num_sets);
+        let slot = new_set * config.ways + lo;
+        self.stats.misses += 1;
+        self.lines[slot] = line;
+        self.meta[slot] = self.replacement[new_set].on_fill();
+        self.mark_occupied(new_set);
+        let outcome = AccessOutcome {
+            hit: false,
+            latency: config.miss_latency,
+            evicted_line: None,
+        };
+        tally.note(&outcome, true);
+        sink(addr, outcome);
+        i + 1
     }
 
     /// Flush+Reload's reload phase as one batched cycle: for each address,

@@ -8,11 +8,14 @@
 //! per-eviction metadata `collect` — and demands the same outcome
 //! (hit/miss, latency, evicted line) on every step, for all three
 //! replacement policies, with and without partitioning and keyed
-//! remapping.
+//! remapping. The batched entry point (`access_batch_from` and its
+//! same-set sweep) is replayed against the same reference, in the access
+//! shapes Prime+Probe produces.
 
 use cache_sim::mapper::Mapper;
 use cache_sim::replacement::ReplacementState;
 use cache_sim::{Cache, CacheConfig, Domain, IndexMapping, ReplacementPolicy, WayPartition};
+use grinch_telemetry::Telemetry;
 
 /// The seed implementation, preserved as an executable specification.
 struct ReferenceCache {
@@ -117,6 +120,15 @@ impl ReferenceCache {
         }
     }
 
+    fn flush_all_from(&mut self, domain: Domain) {
+        let range = self.way_range(domain);
+        for set in &mut self.sets {
+            for way in &mut set.ways[range.clone()] {
+                way.line = None;
+            }
+        }
+    }
+
     fn flush_line_from(&mut self, addr: u64, domain: Domain) -> bool {
         let line = self.config.line_of(addr);
         let set_idx = self.mapper.set_of(line, self.config.num_sets);
@@ -162,6 +174,192 @@ fn replay(config: CacheConfig, seed: u64, steps: u64, span: u64) {
             "outcome divergence at step {step} (addr {addr:#x}, {domain:?})"
         );
     }
+}
+
+/// Smallest same-set run `Cache::access_batch_from` hands to its sweep.
+const SWEEP_MIN_RUN: u64 = 4;
+
+/// One cache driven through `access_batch_from`, one through
+/// `access_from` per address, and the reference, kept in lockstep. The
+/// two real caches publish to their own telemetry registries.
+struct Lockstep {
+    batched: Cache,
+    scalar: Cache,
+    reference: ReferenceCache,
+    telemetry: [Telemetry; 2],
+}
+
+impl Lockstep {
+    fn new(config: CacheConfig, seed: u64) -> Self {
+        let telemetry = [Telemetry::new(), Telemetry::new()];
+        let mut batched = Cache::new_seeded(config, seed);
+        batched.set_telemetry(telemetry[0].clone(), "l1");
+        let mut scalar = Cache::new_seeded(config, seed);
+        scalar.set_telemetry(telemetry[1].clone(), "l1");
+        Self {
+            batched,
+            scalar,
+            reference: ReferenceCache::new_seeded(config, seed),
+            telemetry,
+        }
+    }
+
+    /// One batch: the batched cache's outcomes, in order, must equal the
+    /// reference's and the scalar cache's access by access.
+    fn batch(&mut self, addrs: &[u64], domain: Domain, round: u64) {
+        let mut got = Vec::with_capacity(addrs.len());
+        self.batched.access_batch_from(addrs, domain, |a, o| {
+            got.push((a, o.hit, o.latency, o.evicted_line));
+        });
+        let mut want = Vec::with_capacity(addrs.len());
+        for &a in addrs {
+            let o = self.reference.access_from(a, domain);
+            let s = self.scalar.access_from(a, domain);
+            assert_eq!(
+                (s.hit, s.latency, s.evicted_line),
+                (o.hit, o.latency, o.evicted_line),
+                "scalar divergence in round {round} (addr {a:#x}, {domain:?})"
+            );
+            want.push((a, o.hit, o.latency, o.evicted_line));
+        }
+        assert_eq!(
+            got, want,
+            "batch divergence in round {round} ({domain:?}, {addrs:x?})"
+        );
+    }
+
+    fn flush_all_from(&mut self, domain: Domain) {
+        self.batched.flush_all_from(domain);
+        self.scalar.flush_all_from(domain);
+        self.reference.flush_all_from(domain);
+    }
+
+    fn flush_line_from(&mut self, addr: u64, domain: Domain, round: u64) {
+        let want = self.reference.flush_line_from(addr, domain);
+        assert_eq!(self.scalar.flush_line_from(addr, domain), want);
+        assert_eq!(
+            self.batched.flush_line_from(addr, domain),
+            want,
+            "flush divergence in round {round} (addr {addr:#x})"
+        );
+    }
+
+    /// Statistics (hits, misses, evictions, remaps, flushes), published
+    /// counters and latency histogram, and residency of the batched cache
+    /// must match the scalar one.
+    fn assert_same_state(&self) {
+        assert_eq!(self.batched.stats(), self.scalar.stats());
+        let published = |t: &Telemetry| {
+            let counters: Vec<u64> = ["hits", "misses", "evictions", "remaps", "flushes"]
+                .iter()
+                .map(|c| t.counter(&format!("l1.{c}")))
+                .collect();
+            let cycles = t.snapshot().histogram("l1.access_cycles").cloned();
+            (counters, cycles)
+        };
+        assert_eq!(published(&self.telemetry[0]), published(&self.telemetry[1]));
+        let sorted = |c: &Cache| {
+            let mut lines = c.resident_line_addrs();
+            lines.sort_unstable();
+            lines
+        };
+        assert_eq!(sorted(&self.batched), sorted(&self.scalar));
+    }
+}
+
+/// Batched counterpart of [`replay`]: random batches in the shapes a
+/// Prime+Probe observation produces, from both domains —
+///
+/// - a prime of `ways` distinct same-set lines followed by an in-order
+///   re-read (every re-read hits at the sweep's queue head);
+/// - the same with one foreign line filled in between, so the re-read
+///   thrashes the set and each access re-reads the line just evicted;
+/// - flat slices of several such groups over consecutive sets, as the
+///   oracle primes and probes them;
+/// - same-set runs of at least [`SWEEP_MIN_RUN`] from a small line pool
+///   (hits anywhere in the queue, misses, repeats), and short mixed runs;
+///
+/// interleaved with line and whole-domain flushes, which leave empty
+/// sets behind.
+fn replay_batched(config: CacheConfig, seed: u64, rounds: u64) {
+    let mut c = Lockstep::new(config, seed);
+    let sets = config.num_sets as u64;
+    let lb = config.line_bytes as u64;
+    // The `t`-th line of set class `s`, at byte offset `off` in the line.
+    let addr = |s: u64, t: u64, off: u64| (t * sets + s % sets) * lb + off % lb;
+    let ways_of = |domain: Domain| {
+        config
+            .partition
+            .map_or(config.ways, |p| p.way_range(domain, config.ways).len()) as u64
+    };
+    let mut x = cache_sim::splitmix64(seed ^ 0xba7c);
+    let mut batch = Vec::new();
+    for round in 0..rounds {
+        x = cache_sim::splitmix64(x);
+        let (domain, other) = if x & 1 == 0 {
+            (Domain::Victim, Domain::Attacker)
+        } else {
+            (Domain::Attacker, Domain::Victim)
+        };
+        let ways = ways_of(domain);
+        let s = (x >> 8) % sets;
+        let off = x >> 20;
+        batch.clear();
+        match (x >> 4) % 7 {
+            0 | 1 => {
+                batch.extend((0..ways).map(|t| addr(s, t, off)));
+                c.batch(&batch, domain, round);
+                if x & 0x10_0000_0000 != 0 {
+                    // A foreign line lands in the set: from the other
+                    // domain (which shares the ways unless partitioned)
+                    // or from this one.
+                    let toucher = if x & 0x20_0000_0000 != 0 {
+                        other
+                    } else {
+                        domain
+                    };
+                    c.batch(&[addr(s, ways + (x >> 40) % 3, 0)], toucher, round);
+                }
+                c.batch(&batch, domain, round);
+            }
+            2 => {
+                let groups = 2 + (x >> 40) % 4;
+                for g in 0..groups {
+                    batch.extend((0..ways).map(|t| addr(s + g, t, off)));
+                }
+                c.batch(&batch, domain, round);
+                c.batch(&[addr(s + 1, ways + 1, 0)], other, round);
+                c.batch(&batch, domain, round);
+            }
+            3 | 4 => {
+                let len = SWEEP_MIN_RUN + (x >> 40) % (3 * ways);
+                let pool = ways + 3;
+                let mut y = x;
+                for _ in 0..len {
+                    y = cache_sim::splitmix64(y);
+                    batch.push(addr(s, y % pool, y >> 32));
+                }
+                c.batch(&batch, domain, round);
+            }
+            5 => {
+                let len = 1 + (x >> 40) % 12;
+                let mut y = x;
+                for _ in 0..len {
+                    y = cache_sim::splitmix64(y);
+                    batch.push(addr(s + y % 3, (y >> 8) % (ways + 2), y >> 32));
+                }
+                c.batch(&batch, domain, round);
+            }
+            _ => {
+                if x & 0x10_0000_0000 != 0 {
+                    c.flush_all_from(domain);
+                } else {
+                    c.flush_line_from(addr(s, (x >> 40) % ways, 0), domain, round);
+                }
+            }
+        }
+    }
+    c.assert_same_state();
 }
 
 fn base_config(replacement: ReplacementPolicy) -> CacheConfig {
@@ -215,5 +413,47 @@ fn slab_replays_reference_in_grinch_geometry() {
         let mut cfg = CacheConfig::grinch_default();
         cfg.replacement = policy;
         replay(cfg, 0x4000 + i as u64, 20_000, 0x1000);
+    }
+}
+
+#[test]
+fn batched_sweep_replays_reference_modulo() {
+    for (i, policy) in POLICIES.into_iter().enumerate() {
+        replay_batched(base_config(policy), 0x5000 + i as u64, 4_000);
+    }
+}
+
+#[test]
+fn batched_sweep_replays_reference_partitioned() {
+    for (i, policy) in POLICIES.into_iter().enumerate() {
+        let mut cfg = base_config(policy);
+        cfg.ways = 8;
+        let cfg = cfg.with_partition(WayPartition { victim_ways: 3 });
+        replay_batched(cfg, 0x6000 + i as u64, 4_000);
+    }
+}
+
+#[test]
+fn batched_sweep_replays_reference_short_epoch_keyed_remap() {
+    // Epochs shorter than one prime: most sweeps hit a mid-run rekey.
+    for (i, policy) in POLICIES.into_iter().enumerate() {
+        for epoch in [3, 13, 97] {
+            let cfg = base_config(policy).with_mapping(IndexMapping::KeyedRemap {
+                key: 0xc0ff_ee00 ^ (i as u64) << 8 ^ epoch,
+                epoch_accesses: epoch,
+            });
+            replay_batched(cfg, 0x7000 + epoch + i as u64, 2_000);
+        }
+    }
+}
+
+#[test]
+fn batched_sweep_replays_reference_in_grinch_geometry() {
+    for (i, policy) in POLICIES.into_iter().enumerate() {
+        let mut cfg = CacheConfig::grinch_default();
+        cfg.replacement = policy;
+        replay_batched(cfg, 0x8000 + i as u64, 2_000);
+        let cfg = cfg.with_partition(WayPartition { victim_ways: 8 });
+        replay_batched(cfg, 0x8100 + i as u64, 2_000);
     }
 }

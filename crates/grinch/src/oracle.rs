@@ -219,9 +219,10 @@ pub struct VictimOracle {
     /// Monitored S-box line base addresses, computed once at construction
     /// so the per-observation path never rebuilds the probe list.
     probe_addrs: Vec<u64>,
-    /// Attacker-owned addresses used by Prime+Probe, one group per
-    /// monitored set.
-    prime_groups: Vec<(u64, Vec<u64>)>,
+    /// Attacker-owned addresses used by Prime+Probe: `ways` consecutive
+    /// entries per monitored line, in `probe_addrs` order, so one batched
+    /// call primes (or probes) every monitored set.
+    prime_addrs: Vec<u64>,
     telemetry: grinch_telemetry::Telemetry,
     /// `Some` iff telemetry is enabled: the campaign-total counters.
     metrics: Option<AttackMetricHandles>,
@@ -342,7 +343,7 @@ impl VictimOracle {
             Some(seed) => Cache::new_seeded(config.cache, seed),
             None => Cache::new(config.cache),
         };
-        let prime_groups = Self::build_prime_groups(&config);
+        let prime_addrs = Self::build_prime_addrs(&config);
         let probe_addrs = config.probe_line_addrs();
         Self {
             cipher,
@@ -350,7 +351,7 @@ impl VictimOracle {
             config,
             encryptions: 0,
             probe_addrs,
-            prime_groups,
+            prime_addrs,
             telemetry: grinch_telemetry::Telemetry::disabled(),
             metrics: None,
             stage_metrics: Vec::new(),
@@ -400,19 +401,17 @@ impl VictimOracle {
 
     /// Attacker addresses that map to the same cache sets as the S-box
     /// lines, `ways` of them per set, placed far above the victim's tables.
-    fn build_prime_groups(config: &ObservationConfig) -> Vec<(u64, Vec<u64>)> {
+    fn build_prime_addrs(config: &ObservationConfig) -> Vec<u64> {
         let cache = &config.cache;
         let stride = (cache.line_bytes * cache.num_sets) as u64;
         let attacker_base = 0x10_0000u64;
         config
             .probe_line_addrs()
             .into_iter()
-            .map(|line_addr| {
+            .flat_map(|line_addr| {
                 let set = cache.set_of(line_addr) as u64;
-                let addrs = (0..cache.ways as u64)
-                    .map(|w| attacker_base + w * stride + set * cache.line_bytes as u64)
-                    .collect();
-                (line_addr, addrs)
+                (0..cache.ways as u64)
+                    .map(move |w| attacker_base + w * stride + set * cache.line_bytes as u64)
             })
             .collect()
     }
@@ -427,17 +426,13 @@ impl VictimOracle {
     }
 
     fn prime(&mut self) {
-        // Field-disjoint borrows: the groups are read-only while the cache
-        // mutates, so no per-call clone of the group table is needed.
+        // One batched fill (and one telemetry publish) of every monitored
+        // set; field-disjoint borrows keep the addresses read-only while
+        // the cache mutates.
         let Self {
-            cache,
-            prime_groups,
-            ..
+            cache, prime_addrs, ..
         } = self;
-        for (_, addrs) in prime_groups.iter() {
-            // One batched fill (and one telemetry publish) per monitored set.
-            cache.access_batch_from(addrs, Domain::Attacker, |_, _| {});
-        }
+        cache.access_batch_from(prime_addrs, Domain::Attacker, |_, _| {});
     }
 
     /// Ensures the stage-`stage_round` handle set is registered.
@@ -527,23 +522,28 @@ impl VictimOracle {
                 self.prime();
                 self.run_rounds_observed(plaintext, rounds, flush_before, true);
                 // Probe phase: re-read the attacker lines; any miss means
-                // the victim displaced one — its set was touched.
+                // the victim displaced one — its set was touched. The sink
+                // sees the accesses in order, `ways` per monitored line, so
+                // a countdown tracks which line's group is being re-read.
                 let Self {
                     cache,
-                    prime_groups,
+                    probe_addrs,
+                    prime_addrs,
+                    config,
                     ..
                 } = self;
-                for (line_addr, addrs) in prime_groups.iter() {
-                    let mut evicted = false;
-                    cache.access_batch_from(addrs, Domain::Attacker, |_, o| {
-                        if o.is_miss() {
-                            evicted = true;
+                let ways = config.cache.ways;
+                let (mut group, mut left, mut evicted) = (0, ways, false);
+                cache.access_batch_from(prime_addrs, Domain::Attacker, |_, o| {
+                    evicted |= o.is_miss();
+                    left -= 1;
+                    if left == 0 {
+                        if evicted {
+                            out.insert(probe_addrs[group]);
                         }
-                    });
-                    if evicted {
-                        out.insert(*line_addr);
+                        (group, left, evicted) = (group + 1, ways, false);
                     }
-                }
+                });
                 // Clean up: leave the monitored sets empty of victim lines
                 // for the next round of priming. An attacker-domain flush:
                 // on a partitioned cache only its own ways clear, which is

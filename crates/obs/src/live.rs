@@ -851,18 +851,29 @@ fn handle_connection(mut stream: TcpStream, router: &Router) -> std::io::Result<
         };
         while body.len() < content_length {
             match stream.read(&mut chunk) {
-                Ok(0) => break,
+                Ok(0) | Err(_) => break,
                 Ok(n) => body.extend_from_slice(&chunk[..n]),
-                Err(_) => break,
             }
         }
-        body.truncate(content_length);
-        let request = HttpRequest {
-            method,
-            path,
-            body: String::from_utf8_lossy(&body).to_string(),
-        };
-        router.dispatch(&request)
+        if body.len() < content_length {
+            // EOF or read timeout before the declared body arrived: a
+            // truncated request is refused, never dispatched.
+            HttpResponse::text(
+                400,
+                format!(
+                    "body of {} bytes is shorter than its Content-Length of {content_length}\n",
+                    body.len()
+                ),
+            )
+        } else {
+            body.truncate(content_length);
+            let request = HttpRequest {
+                method,
+                path,
+                body: String::from_utf8_lossy(&body).to_string(),
+            };
+            router.dispatch(&request)
+        }
     };
 
     let mut extra = String::new();
@@ -1144,6 +1155,46 @@ mod tests {
         let (_, body) = http_get(&addr, "/metrics").expect("GET /metrics again");
         assert!(body.contains("arena_cells_completed 2\n"));
 
+        server.shutdown();
+    }
+
+    #[test]
+    fn truncated_body_is_refused_not_dispatched() {
+        use std::sync::atomic::AtomicUsize;
+        let dispatched = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&dispatched);
+        let router = Router::new().post("/submit", move |_: &HttpRequest| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            HttpResponse::text(202, "accepted\n")
+        });
+        let server = LiveServer::bind_with_router("127.0.0.1:0", router).expect("bind");
+        let addr = server.addr().to_string();
+        // Declares 100 bytes, sends 10, then either closes its write half
+        // (EOF) or stalls past the server's read timeout.
+        let short_post = |close_write: bool| {
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            stream
+                .write_all(b"POST /submit HTTP/1.1\r\nContent-Length: 100\r\n\r\n0123456789")
+                .expect("send");
+            if close_write {
+                stream
+                    .shutdown(std::net::Shutdown::Write)
+                    .expect("shutdown");
+            }
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).expect("reply");
+            reply
+        };
+        for close_write in [true, false] {
+            let reply = short_post(close_write);
+            assert!(reply.starts_with("HTTP/1.1 400 "), "got {reply:?}");
+            assert!(reply.contains("shorter than its Content-Length of 100"));
+        }
+        assert_eq!(dispatched.load(Ordering::SeqCst), 0, "handler never ran");
+        // A complete body still goes through.
+        let (code, _, _) = http_post(&addr, "/submit", "{}").expect("POST");
+        assert_eq!(code, 202);
+        assert_eq!(dispatched.load(Ordering::SeqCst), 1);
         server.shutdown();
     }
 }
