@@ -12,12 +12,20 @@
 //! head), and the probe of a set one victim line has touched (the LRU
 //! thrash: every re-read misses on the line just evicted).
 //!
+//! The `victim_round` group times one GIFT round's 16 S-box reads, from a
+//! cold cache as in a Flush+Reload observation, three ways: through
+//! `CacheObserver` (the oracle's victim path), replayed through
+//! `access_batch_from` (the path it replaced, which lost to the plain
+//! loop) and through an `access_from` loop.
+//!
 //! Set `GRINCH_BENCH_SMOKE=1` to shrink sampling for CI smoke runs.
 
 use std::time::Duration;
 
-use cache_sim::{Cache, CacheConfig, Domain};
+use cache_sim::{Cache, CacheConfig, CacheObserver, Domain};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use gift_cipher::observer::{Access, AccessKind};
+use gift_cipher::{Key, MemoryObserver, RecordingObserver, TableGift64, TableLayout};
 use grinch_telemetry::Telemetry;
 
 fn smoke(group: &mut criterion::BenchmarkGroup<'_>) {
@@ -114,5 +122,55 @@ fn bench_sweep_phases(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache_access, bench_sweep_phases);
+fn bench_victim_round(c: &mut Criterion) {
+    let mut group = c.benchmark_group("victim_round");
+    smoke(&mut group);
+    let cipher = TableGift64::new(Key::from_u128(0x5eed), TableLayout::default());
+    let mut rec = RecordingObserver::new();
+    cipher.run_single_round(0x0123_4567_89ab_cdef, 0, &mut rec);
+    let addrs = rec.sbox_addrs();
+    assert_eq!(addrs.len(), 16);
+
+    // Each iteration empties the cache first, so the round's first touch
+    // of every line misses and repeats hit.
+    let mut cache = Cache::new(CacheConfig::grinch_default());
+    group.bench_function("observer", |b| {
+        b.iter(|| {
+            cache.flush_all();
+            let mut obs = CacheObserver::new(&mut cache);
+            for &addr in black_box(&addrs) {
+                obs.on_read(Access {
+                    addr,
+                    kind: AccessKind::SboxRead,
+                });
+            }
+        })
+    });
+    let mut cache = Cache::new(CacheConfig::grinch_default());
+    group.bench_function("access_batch_from", |b| {
+        b.iter(|| {
+            cache.flush_all();
+            cache.access_batch_from(black_box(&addrs), Domain::Victim, |_, o| {
+                black_box(o);
+            });
+        })
+    });
+    let mut cache = Cache::new(CacheConfig::grinch_default());
+    group.bench_function("access_from_loop", |b| {
+        b.iter(|| {
+            cache.flush_all();
+            for &addr in black_box(&addrs) {
+                black_box(cache.access_from(addr, Domain::Victim));
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_cache_access,
+    bench_sweep_phases,
+    bench_victim_round
+);
 criterion_main!(benches);

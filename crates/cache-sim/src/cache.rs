@@ -112,11 +112,19 @@ pub struct Cache {
     /// Reusable next-victim scratch for the batched same-set sweep fast
     /// path (see [`Cache::sweep_set_run`]); never observable state.
     sweep_queue: Vec<usize>,
+    /// Per set, one past the highest way that may hold a valid line:
+    /// every way at or above it is invalid. Fills raise it, emptying the
+    /// set resets it to 0, a single-line flush leaves it alone — so it is
+    /// conservative, changes no outcome, and lets the hit, first-invalid
+    /// and flush scans stop at the occupied prefix instead of walking all
+    /// ways of the one- or two-line sets Flush+Reload leaves behind.
+    valid_top: Vec<usize>,
     /// One bit per set, set whenever a line is filled there — a
-    /// conservative "may hold valid lines" mask so whole-cache
-    /// invalidation (frequent under epoch re-keying) only walks occupied
-    /// sets instead of the full slab. Never observable state: bits are
-    /// only cleared when the sets they cover are actually emptied.
+    /// conservative "bound may be non-zero" mask so whole-cache
+    /// invalidation (frequent under epoch re-keying) only visits occupied
+    /// sets. Walking the bound array instead costs a data-dependent branch
+    /// per set, which measured slower. Bits are only cleared when the
+    /// sets they cover are actually emptied.
     occupied: Vec<u64>,
 }
 
@@ -166,6 +174,7 @@ impl Cache {
             telemetry: Telemetry::disabled(),
             metrics: None,
             sweep_queue: Vec::new(),
+            valid_top: vec![0; config.num_sets],
             occupied: vec![0; config.num_sets.div_ceil(64)],
         }
     }
@@ -210,24 +219,41 @@ impl Cache {
     fn invalidate_all(&mut self) {
         let ways = self.config.ways;
         let Self {
-            lines, occupied, ..
+            lines,
+            valid_top,
+            occupied,
+            ..
         } = self;
         for (word_idx, word) in occupied.iter_mut().enumerate() {
             let mut w = *word;
             while w != 0 {
                 let set = (word_idx << 6) | w.trailing_zeros() as usize;
                 let base = set * ways;
+                // A fixed-length fill beats one cut at the bound: the
+                // varying lengths mispredict inside `fill`.
                 lines[base..base + ways].fill(INVALID_LINE);
+                valid_top[set] = 0;
                 w &= w - 1;
             }
             *word = 0;
         }
     }
 
-    /// Marks `set_idx` as possibly holding valid lines (see
-    /// [`Cache::occupied`]); must accompany every line fill.
+    /// One past the last way of `lo..hi` that may hold a valid line in
+    /// `set_idx` (`lo` when none can): scans of the domain's ways stop
+    /// there.
     #[inline]
-    fn mark_occupied(&mut self, set_idx: usize) {
+    fn scan_end(&self, set_idx: usize, lo: usize, hi: usize) -> usize {
+        hi.min(self.valid_top[set_idx]).max(lo)
+    }
+
+    /// Raises `set_idx`'s valid bound over a fill of `way` and marks the
+    /// set occupied; must accompany every line fill (see
+    /// [`Cache::valid_top`]).
+    #[inline]
+    fn note_fill(&mut self, set_idx: usize, way: usize) {
+        let top = &mut self.valid_top[set_idx];
+        *top = (*top).max(way + 1);
         self.occupied[set_idx >> 6] |= 1 << (set_idx & 63);
     }
 
@@ -244,7 +270,7 @@ impl Cache {
     /// a held [`grinch_telemetry::Batch`] guard must never re-enter the
     /// registry, so the core cannot publish itself.
     #[inline]
-    fn access_core(&mut self, addr: u64, domain: Domain) -> (AccessOutcome, bool) {
+    pub(crate) fn access_core(&mut self, addr: u64, domain: Domain) -> (AccessOutcome, bool) {
         let remapped = self.mapper.note_access();
         if remapped {
             // Epoch boundary: the mapping re-keyed, so every resident line
@@ -261,11 +287,14 @@ impl Cache {
         let (lo, hi) = self.way_bounds(domain);
         let base = set_idx * self.config.ways;
         let (start, end) = (base + lo, base + hi);
+        // Ways from here on are invalid: neither a hit nor the first
+        // invalid way needs a scan past it.
+        let scan_end = base + self.scan_end(set_idx, lo, hi);
 
         // The hit path stays a tight tag-only scan: victim encryptions are
         // hit-dominated (S-box lines stay resident), so touching `meta`
         // here would slow the common case for nothing.
-        if let Some(slot) = self.lines[start..end].iter().position(|&l| l == line) {
+        if let Some(slot) = self.lines[start..scan_end].iter().position(|&l| l == line) {
             let hit_slot = start + slot;
             self.meta[hit_slot] = self.replacement[set_idx].on_hit(self.meta[hit_slot]);
             self.stats.hits += 1;
@@ -287,11 +316,13 @@ impl Cache {
         self.stats.misses += 1;
         let replacement = &mut self.replacement[set_idx];
         let fill_meta = replacement.on_fill();
-        let (slot, evicted_line) = if let Some(inv) = self.lines[start..end]
+        let (slot, evicted_line) = if let Some(inv) = self.lines[start..scan_end]
             .iter()
             .position(|&l| l == INVALID_LINE)
         {
             (start + inv, None)
+        } else if scan_end < end {
+            (scan_end, None)
         } else {
             let victim = start + replacement.choose_victim(&self.meta[start..end]);
             let old_line = self.lines[victim];
@@ -300,7 +331,7 @@ impl Cache {
         };
         self.lines[slot] = line;
         self.meta[slot] = fill_meta;
-        self.mark_occupied(set_idx);
+        self.note_fill(set_idx, slot - base);
         (
             AccessOutcome {
                 hit: false,
@@ -406,7 +437,7 @@ impl Cache {
     /// head's tag first (a probe re-reading its lines in prime order hits
     /// there), treat the line this run evicted last as a certain miss (the
     /// next read of an LRU/FIFO thrash), and otherwise scan only up to the
-    /// highest valid way. The mapper is still noted per access; if it
+    /// set's valid-way bound. The mapper is still noted per access; if it
     /// re-keys, the access that triggered it lands in the freshly
     /// invalidated cache (a miss filling the first way of its new set) and
     /// the sweep returns early so the caller re-groups under the new
@@ -425,9 +456,9 @@ impl Cache {
         let (start, end) = (base + lo, base + hi);
         let n = end - start;
         let wrap_inc = |p: usize| if p + 1 == n { 0 } else { p + 1 };
-        let was_empty = self.occupied[set_idx >> 6] & (1 << (set_idx & 63)) == 0;
-        // One conservative mark covers every fill this run can make.
-        self.mark_occupied(set_idx);
+        // One past the highest way that may be valid, relative to `start`
+        // like the queue and the scan: no way at or above it can hit.
+        let mut top = self.scan_end(set_idx, lo, hi) - lo;
         let stateless = self.mapper.is_access_stateless();
         let config = self.config;
         // Field-disjoint borrows of the domain's ways; the queue and the
@@ -445,21 +476,16 @@ impl Cache {
         let replacement = &mut replacement[set_idx];
 
         queue.clear();
-        // One past the highest valid way: no way at or above it can hit.
-        let mut top = 0;
-        if was_empty {
-            // Never filled since it was last emptied: every way is invalid,
-            // so the first-invalid order is the identity.
-            queue.extend(0..n);
-        } else {
-            queue.extend((0..n).filter(|&w| lines[w] == INVALID_LINE));
-            let invalids = queue.len();
-            queue.extend((0..n).filter(|&w| lines[w] != INVALID_LINE));
-            // `(meta, way)` keying reproduces `min_by_key`'s first-minimum
-            // tie-break; live metas are distinct clock draws anyway.
-            queue[invalids..].sort_unstable_by_key(|&w| (meta[w], w));
-            top = queue[invalids..].iter().max().map_or(0, |&w| w + 1);
-        }
+        // Invalid ways in ascending order (those at or above `top` all
+        // are), then the valid ones oldest first. An empty prefix needs
+        // no filters or sort: the first-invalid order is the identity.
+        queue.extend((0..top).filter(|&w| lines[w] == INVALID_LINE));
+        queue.extend(top..n);
+        let invalids = queue.len();
+        queue.extend((0..top).filter(|&w| lines[w] != INVALID_LINE));
+        // `(meta, way)` keying reproduces `min_by_key`'s first-minimum
+        // tie-break; live metas are distinct clock draws anyway.
+        queue[invalids..].sort_unstable_by_key(|&w| (meta[w], w));
         let mut head = 0usize;
         // Once a run evicts, no invalid way is left and every later miss
         // evicts too, so the line evicted last cannot have come back.
@@ -541,6 +567,11 @@ impl Cache {
                 },
             );
         }
+        // Before any rekey invalidation below, which clears only up to
+        // the bound.
+        if top > 0 {
+            self.note_fill(set_idx, lo + top - 1);
+        }
         self.stats.hits += hits;
         self.stats.misses += misses;
         self.stats.evictions += evictions;
@@ -564,7 +595,7 @@ impl Cache {
         self.stats.misses += 1;
         self.lines[slot] = line;
         self.meta[slot] = self.replacement[new_set].on_fill();
-        self.mark_occupied(new_set);
+        self.note_fill(new_set, lo);
         let outcome = AccessOutcome {
             hit: false,
             latency: config.miss_latency,
@@ -602,7 +633,7 @@ impl Cache {
     }
 
     /// Applies the per-batch metric tally under one registry borrow.
-    fn publish_tally(&mut self, tally: &BatchTally) {
+    pub(crate) fn publish_tally(&mut self, tally: &BatchTally) {
         if tally.is_empty() {
             return;
         }
@@ -633,8 +664,9 @@ impl Cache {
     /// without perturbing replacement, mapper-epoch or statistics state.
     pub fn contains(&self, addr: u64) -> bool {
         let line = self.config.line_of(addr);
-        let base = self.mapper.set_of(line, self.config.num_sets) * self.config.ways;
-        self.lines[base..base + self.config.ways].contains(&line)
+        let set_idx = self.mapper.set_of(line, self.config.num_sets);
+        let base = set_idx * self.config.ways;
+        self.lines[base..base + self.valid_top[set_idx]].contains(&line)
     }
 
     /// Invalidates the line containing `addr` if resident (`clflush`-style,
@@ -648,9 +680,13 @@ impl Cache {
     #[inline]
     fn flush_core(&mut self, addr: u64, domain: Domain) -> bool {
         let line = self.config.line_of(addr);
-        let base = self.mapper.set_of(line, self.config.num_sets) * self.config.ways;
+        let set_idx = self.mapper.set_of(line, self.config.num_sets);
+        let base = set_idx * self.config.ways;
         let (lo, hi) = self.way_bounds(domain);
-        if let Some(way) = self.lines[base + lo..base + hi]
+        let end = self.scan_end(set_idx, lo, hi);
+        // The bound stays put: a hole below it is left for the
+        // first-invalid scan to find.
+        if let Some(way) = self.lines[base + lo..base + end]
             .iter_mut()
             .find(|l| **l == line)
         {
@@ -711,15 +747,20 @@ impl Cache {
         let (lo, hi) = self.way_bounds(domain);
         if (lo, hi) == (0, self.config.ways) {
             // The domain owns every way: identical to a full invalidation,
-            // which also gets to clear the occupancy mask.
+            // which also resets every set's bound.
             self.invalidate_all();
         } else {
-            // Partitioned: only the domain's ways clear, so occupancy bits
-            // stay set (the other domain's lines survive) — but sets with
-            // no valid lines at all can be skipped outright.
+            // Partitioned: only the domain's ways of occupied sets clear.
+            // Lines of the other domain may survive anywhere below `lo` or
+            // from `hi` on, so a bound that reached into the domain's ways
+            // drops only to `lo`, one above `hi` stays, and occupancy bits
+            // stay set.
             let ways = self.config.ways;
             let Self {
-                lines, occupied, ..
+                lines,
+                valid_top,
+                occupied,
+                ..
             } = self;
             for (word_idx, word) in occupied.iter().enumerate() {
                 let mut w = *word;
@@ -727,6 +768,10 @@ impl Cache {
                     let set = (word_idx << 6) | w.trailing_zeros() as usize;
                     let base = set * ways;
                     lines[base + lo..base + hi].fill(INVALID_LINE);
+                    let top = &mut valid_top[set];
+                    if *top <= hi {
+                        *top = (*top).min(lo);
+                    }
                     w &= w - 1;
                 }
             }
@@ -735,6 +780,14 @@ impl Cache {
         if let Some(m) = &self.metrics {
             self.telemetry.inc(m.full_flushes);
         }
+    }
+
+    /// One past the highest way of set `set_idx` that may hold a valid
+    /// line: every way at or above it is invalid. A conservative bound,
+    /// not a count — fills raise it, emptying the whole set resets it to
+    /// 0, a single-line flush leaves it where it was.
+    pub fn valid_way_bound(&self, set_idx: usize) -> usize {
+        self.valid_top[set_idx]
     }
 
     /// Number of currently valid lines.
@@ -763,7 +816,7 @@ fn range_bounds(r: core::ops::Range<usize>) -> (usize, usize) {
 /// the end, so counter totals and histogram aggregates match the looped
 /// per-access publishes exactly.
 #[derive(Clone, Copy, Debug, Default)]
-struct BatchTally {
+pub(crate) struct BatchTally {
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -773,7 +826,7 @@ struct BatchTally {
 
 impl BatchTally {
     #[inline]
-    fn note(&mut self, outcome: &AccessOutcome, remapped: bool) {
+    pub(crate) fn note(&mut self, outcome: &AccessOutcome, remapped: bool) {
         if remapped {
             self.remaps += 1;
         }

@@ -10,7 +10,10 @@
 //! replacement policies, with and without partitioning and keyed
 //! remapping. The batched entry point (`access_batch_from` and its
 //! same-set sweep) is replayed against the same reference, in the access
-//! shapes Prime+Probe produces.
+//! shapes Prime+Probe produces, and each set's valid-way bound
+//! (`Cache::valid_way_bound`) is held between the highest way the
+//! reference has valid and the highest way filled since the set was last
+//! emptied.
 
 use cache_sim::mapper::Mapper;
 use cache_sim::replacement::ReplacementState;
@@ -27,6 +30,10 @@ struct ReferenceCache {
 struct RefSet {
     ways: Vec<RefWay>,
     replacement: ReplacementState,
+    /// One past the highest way filled since the set was last emptied by
+    /// a rekey or a whole-cache flush: the loosest valid-way bound the
+    /// real cache may report.
+    filled_top: usize,
 }
 
 #[derive(Clone, Copy)]
@@ -58,6 +65,7 @@ impl ReferenceCache {
                     config.replacement,
                     cache_sim::splitmix64(seed ^ cache_sim::splitmix64(s as u64)),
                 ),
+                filled_top: 0,
             })
             .collect();
         Self {
@@ -80,6 +88,7 @@ impl ReferenceCache {
                 for way in &mut set.ways {
                     way.line = None;
                 }
+                set.filled_top = 0;
             }
         }
         let line = self.config.line_of(addr);
@@ -113,6 +122,7 @@ impl ReferenceCache {
             line: Some(line),
             meta: fill_meta,
         };
+        set.filled_top = set.filled_top.max(way_idx + 1);
         RefOutcome {
             hit: false,
             latency: self.config.miss_latency,
@@ -122,11 +132,24 @@ impl ReferenceCache {
 
     fn flush_all_from(&mut self, domain: Domain) {
         let range = self.way_range(domain);
+        let whole = range == (0..self.config.ways);
         for set in &mut self.sets {
             for way in &mut set.ways[range.clone()] {
                 way.line = None;
             }
+            if whole {
+                set.filled_top = 0;
+            }
         }
+    }
+
+    /// One past the highest valid way of every set: the tightest sound
+    /// valid-way bound.
+    fn valid_tops(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.sets.iter().map(|set| {
+            let valid = set.ways.iter().rposition(|w| w.line.is_some());
+            (valid.map_or(0, |w| w + 1), set.filled_top)
+        })
     }
 
     fn flush_line_from(&mut self, addr: u64, domain: Domain) -> bool {
@@ -226,12 +249,14 @@ impl Lockstep {
             got, want,
             "batch divergence in round {round} ({domain:?}, {addrs:x?})"
         );
+        self.assert_bounds(round);
     }
 
-    fn flush_all_from(&mut self, domain: Domain) {
+    fn flush_all_from(&mut self, domain: Domain, round: u64) {
         self.batched.flush_all_from(domain);
         self.scalar.flush_all_from(domain);
         self.reference.flush_all_from(domain);
+        self.assert_bounds(round);
     }
 
     fn flush_line_from(&mut self, addr: u64, domain: Domain, round: u64) {
@@ -242,6 +267,23 @@ impl Lockstep {
             want,
             "flush divergence in round {round} (addr {addr:#x})"
         );
+        self.assert_bounds(round);
+    }
+
+    /// Every set's valid-way bound, in both real caches, must cover the
+    /// highest way the reference holds valid (or a hit would be missed
+    /// and a fill misplaced) and must not exceed the highest way filled
+    /// since the set was last emptied (emptying resets it).
+    fn assert_bounds(&self, round: u64) {
+        for (set, (valid, filled)) in self.reference.valid_tops().enumerate() {
+            for cache in [&self.batched, &self.scalar] {
+                let bound = cache.valid_way_bound(set);
+                assert!(
+                    (valid..=filled).contains(&bound),
+                    "set {set} bound {bound} outside {valid}..={filled} in round {round}"
+                );
+            }
+        }
     }
 
     /// Statistics (hits, misses, evictions, remaps, flushes), published
@@ -280,7 +322,18 @@ impl Lockstep {
 ///   (hits anywhere in the queue, misses, repeats), and short mixed runs;
 ///
 /// interleaved with line and whole-domain flushes, which leave empty
-/// sets behind.
+/// sets behind, and with the shapes that move a set's valid-way bound —
+///
+/// - a hole flushed below the bound and then filled: the first invalid
+///   way, not the bound, takes the line (the evictions that follow make
+///   way positions observable under Random);
+/// - victim lines under an attacker prime: on a partitioned cache the
+///   bound sits below the attacker's first way;
+/// - a whole-domain flush with the other domain's lines resident: on a
+///   partitioned cache the bound must stay conservative;
+/// - a run long enough to sweep, re-read one line at a time: under a
+///   short-epoch remap it crosses a rekey, whose fill must raise the
+///   bound of the set it lands in.
 fn replay_batched(config: CacheConfig, seed: u64, rounds: u64) {
     let mut c = Lockstep::new(config, seed);
     let sets = config.num_sets as u64;
@@ -305,7 +358,7 @@ fn replay_batched(config: CacheConfig, seed: u64, rounds: u64) {
         let s = (x >> 8) % sets;
         let off = x >> 20;
         batch.clear();
-        match (x >> 4) % 7 {
+        match (x >> 4) % 11 {
             0 | 1 => {
                 batch.extend((0..ways).map(|t| addr(s, t, off)));
                 c.batch(&batch, domain, round);
@@ -350,11 +403,58 @@ fn replay_batched(config: CacheConfig, seed: u64, rounds: u64) {
                 }
                 c.batch(&batch, domain, round);
             }
-            _ => {
+            6 => {
                 if x & 0x10_0000_0000 != 0 {
-                    c.flush_all_from(domain);
+                    c.flush_all_from(domain, round);
                 } else {
                     c.flush_line_from(addr(s, (x >> 40) % ways, 0), domain, round);
+                }
+            }
+            7 => {
+                let k = 2 + (x >> 40) % (ways - 1);
+                for t in 0..k {
+                    c.batch(&[addr(s, t, off)], domain, round);
+                }
+                c.flush_line_from(addr(s, (x >> 44) % (k - 1), 0), domain, round);
+                for t in k..=k + ways {
+                    c.batch(&[addr(s, t, off)], domain, round);
+                }
+            }
+            8 => {
+                let k = 1 + (x >> 40) % ways_of(Domain::Victim);
+                let victim: Vec<u64> = (0..k).map(|t| addr(s, t, off)).collect();
+                for &a in &victim {
+                    c.batch(&[a], Domain::Victim, round);
+                }
+                let attacker_ways = ways_of(Domain::Attacker);
+                batch.extend((0..attacker_ways).map(|t| addr(s, k + t, off)));
+                if x & 0x10_0000_0000 != 0 {
+                    c.batch(&batch, Domain::Attacker, round);
+                } else {
+                    for &a in &batch {
+                        c.batch(&[a], Domain::Attacker, round);
+                    }
+                }
+                c.batch(&batch, Domain::Attacker, round);
+                c.batch(&victim, Domain::Victim, round);
+            }
+            9 => {
+                let theirs: Vec<u64> = (0..ways_of(other))
+                    .map(|t| addr(s, ways + t, off))
+                    .collect();
+                batch.extend((0..ways).map(|t| addr(s, t, off)));
+                c.batch(&theirs, other, round);
+                c.batch(&batch, domain, round);
+                c.flush_all_from(domain, round);
+                c.batch(&theirs, other, round);
+                c.batch(&batch, domain, round);
+            }
+            _ => {
+                let len = SWEEP_MIN_RUN + (x >> 40) % ways;
+                batch.extend((0..len).map(|t| addr(s, t % (ways + 1), off)));
+                c.batch(&batch, domain, round);
+                for &a in &batch {
+                    c.batch(&[a], domain, round);
                 }
             }
         }

@@ -48,7 +48,12 @@ fn sub_cells_64<O: MemoryObserver + ?Sized>(state: u64, layout: &TableLayout, ob
 /// but every read goes through this helper so no lookup can bypass the
 /// accounting.
 #[inline]
-fn perm_lookup<O: MemoryObserver + ?Sized>(table: &[u8], i: usize, layout: &TableLayout, obs: &mut O) -> u8 {
+fn perm_lookup<O: MemoryObserver + ?Sized>(
+    table: &[u8],
+    i: usize,
+    layout: &TableLayout,
+    obs: &mut O,
+) -> u8 {
     if layout.emit_perm_reads {
         obs.on_read(Access {
             addr: layout.perm_base + i as u64,
@@ -152,7 +157,12 @@ impl TableGift64 {
     /// # Panics
     ///
     /// Panics if `round >= 28`.
-    pub fn run_single_round<O: MemoryObserver + ?Sized>(&self, state: u64, round: usize, obs: &mut O) -> u64 {
+    pub fn run_single_round<O: MemoryObserver + ?Sized>(
+        &self,
+        state: u64,
+        round: usize,
+        obs: &mut O,
+    ) -> u64 {
         assert!(round < GIFT64_ROUNDS, "GIFT-64 has 28 rounds");
         table_round_64(state, self.round_keys[round], round, &self.layout, obs)
     }

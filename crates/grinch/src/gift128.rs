@@ -24,12 +24,12 @@
 //! ```
 
 use crate::oracle::{ObservationConfig, ObservedLines};
+use crate::target::PREIMAGES;
 use cache_sim::{Cache, CacheObserver};
 use gift_cipher::bitwise::{invert_with_round_keys_128, Gift128};
 use gift_cipher::constants::ROUND_CONSTANTS;
 use gift_cipher::key_schedule::{Key, RoundKey128};
 use gift_cipher::permutation::P128_INV;
-use gift_cipher::sbox::inputs_with_output_bit;
 use gift_cipher::state::with_segment_128;
 use gift_cipher::{TableGift128, GIFT128_ROUNDS, GIFT128_SEGMENTS};
 use rand::Rng;
@@ -173,7 +173,7 @@ pub fn craft_plaintext_128<R: Rng + ?Sized>(
         for (b, &src) in target.source_segments().iter().enumerate() {
             assert!(!constrained[src], "source segment {src} doubly constrained");
             constrained[src] = true;
-            let choices = inputs_with_output_bit(b as u8, target.forced[b]);
+            let choices = &PREIMAGES[b][usize::from(target.forced[b])];
             let value = choices[rng.gen_range(0..choices.len())];
             state = with_segment_128(state, src, value);
         }

@@ -21,7 +21,7 @@
 
 use crate::noise::NoiseChannel;
 use crate::target::TargetSpec;
-use cache_sim::{Cache, CacheConfig, Domain};
+use cache_sim::{Cache, CacheConfig, CacheObserver, Domain};
 use gift_cipher::countermeasure::{
     masked_round_keys_64, FullScanGift64, PreloadGift64, WideLineGift64,
 };
@@ -186,22 +186,6 @@ fn run_one_round<O: MemoryObserver + ?Sized>(
     }
 }
 
-/// Records a round's table-read addresses so they can be replayed into the
-/// cache as one batch. The cipher's data flow never depends on the cache,
-/// and the attacker only acts *between* rounds, so replaying a single
-/// round's reads in program order at round end is state-identical to
-/// forwarding each read immediately — only the telemetry publication is
-/// amortized.
-struct RoundAddrRecorder<'a> {
-    addrs: &'a mut Vec<u64>,
-}
-
-impl MemoryObserver for RoundAddrRecorder<'_> {
-    fn on_read(&mut self, access: gift_cipher::observer::Access) {
-        self.addrs.push(access.addr);
-    }
-}
-
 /// The victim plus the shared cache plus the probe: everything the attacker
 /// interacts with.
 ///
@@ -236,9 +220,6 @@ pub struct VictimOracle {
     /// Scratch observation buffer backing
     /// [`VictimOracle::encrypt_and_probe_batch`]; reused across batches.
     batch: Vec<ObservedLines>,
-    /// Scratch address buffer for one victim round's table reads, replayed
-    /// into the cache as a batch (see [`VictimOracle::run_rounds_observed`]).
-    round_addrs: Vec<u64>,
 }
 
 /// Campaign-total counters, registered once at
@@ -357,7 +338,6 @@ impl VictimOracle {
             stage_metrics: Vec::new(),
             noise: None,
             batch: Vec::new(),
-            round_addrs: Vec::new(),
         }
     }
 
@@ -614,7 +594,6 @@ impl VictimOracle {
         reprime: bool,
     ) -> u64 {
         let mut state = plaintext;
-        let mut round_addrs = std::mem::take(&mut self.round_addrs);
         for round in 0..rounds {
             if flush_before == Some(round) {
                 // The mid-encryption flush is the *attacker's* cleanup: on a
@@ -625,15 +604,11 @@ impl VictimOracle {
                     self.prime();
                 }
             }
-            round_addrs.clear();
-            let mut obs = RoundAddrRecorder {
-                addrs: &mut round_addrs,
-            };
+            // Reads go straight into the cache; the observer publishes the
+            // round's cache telemetry once, when it drops.
+            let mut obs = CacheObserver::new(&mut self.cache);
             state = run_one_round(&self.cipher, state, round, &mut obs);
-            self.cache
-                .access_batch_from(&round_addrs, Domain::Victim, |_, _| {});
         }
-        self.round_addrs = round_addrs;
         state
     }
 

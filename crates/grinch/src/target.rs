@@ -25,8 +25,33 @@
 
 use gift_cipher::constants::ROUND_CONSTANTS;
 use gift_cipher::permutation::P64_INV;
-use gift_cipher::sbox::inputs_with_output_bit;
+use gift_cipher::sbox::GIFT_SBOX;
 use gift_cipher::GIFT64_SEGMENTS;
+
+/// `PREIMAGES[bit][value]`: the eight S-box inputs whose output bit `bit`
+/// equals `value` (0 or 1), ascending — the lists of Algorithm 1, built
+/// once at compile time so crafting indexes a table instead of
+/// allocating a list per constraint.
+pub const PREIMAGES: [[[u8; 8]; 2]; 4] = preimage_table();
+
+const fn preimage_table() -> [[[u8; 8]; 2]; 4] {
+    let mut table = [[[0u8; 8]; 2]; 4];
+    let mut bit = 0;
+    while bit < 4 {
+        // The S-box is a permutation, so each output bit value has
+        // exactly eight preimages (an overflow here fails the build).
+        let mut filled = [0usize; 2];
+        let mut x = 0;
+        while x < 16 {
+            let value = ((GIFT_SBOX[x] >> bit) & 1) as usize;
+            table[bit][value][filled[value]] = x as u8;
+            filled[value] += 1;
+            x += 1;
+        }
+        bit += 1;
+    }
+    table
+}
 
 /// A constraint on one round-*t* input segment: its S-box output bit
 /// `output_bit` must equal `value`, which the attacker enforces by drawing
@@ -40,7 +65,7 @@ pub struct SourceConstraint {
     /// The pinned value.
     pub value: bool,
     /// The eight segment values satisfying the constraint.
-    pub choices: Vec<u8>,
+    pub choices: &'static [u8; 8],
 }
 
 /// One campaign target: segment `segment` of the round-`stage_round + 1`
@@ -120,7 +145,7 @@ impl TargetSpec {
                 segment: src_pos / 4,
                 output_bit,
                 value: self.forced[b],
-                choices: inputs_with_output_bit(output_bit, self.forced[b]),
+                choices: &PREIMAGES[output_bit as usize][usize::from(self.forced[b])],
             }
         })
     }
@@ -214,7 +239,20 @@ pub fn disjoint_batches(stage_round: usize) -> [[usize; 4]; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gift_cipher::sbox::sbox;
+    use gift_cipher::sbox::{inputs_with_output_bit, sbox};
+
+    #[test]
+    fn preimage_table_matches_the_sbox_lists() {
+        for bit in 0..4u8 {
+            for value in [false, true] {
+                assert_eq!(
+                    PREIMAGES[bit as usize][usize::from(value)].to_vec(),
+                    inputs_with_output_bit(bit, value),
+                    "bit {bit} value {value}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn constraints_pin_the_claimed_output_bits() {
@@ -224,7 +262,7 @@ mod tests {
                 for (b, c) in spec.source_constraints().iter().enumerate() {
                     assert_eq!(c.output_bit as usize, b);
                     assert_eq!(c.choices.len(), 8);
-                    for &x in &c.choices {
+                    for &x in c.choices {
                         assert_eq!(
                             (sbox(x) >> c.output_bit) & 1,
                             u8::from(c.value),

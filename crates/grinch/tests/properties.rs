@@ -2,15 +2,38 @@
 //! pipeline must hold for arbitrary keys, segments, stages and forced
 //! patterns — the soundness foundation of candidate elimination.
 
-use gift_cipher::bitwise::Gift64;
-use gift_cipher::state::segment_64;
-use gift_cipher::Key;
+use gift_cipher::bitwise::{invert_with_round_keys_64, Gift64};
+use gift_cipher::permutation::P64_INV;
+use gift_cipher::sbox::inputs_with_output_bit;
+use gift_cipher::state::{segment_64, with_segment_64};
+use gift_cipher::{Key, RoundKey64};
 use grinch::craft::craft_plaintext;
 use grinch::oracle::{ObservationConfig, VictimOracle};
 use grinch::target::{disjoint_batches, TargetSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// Crafting as it was before the preimage table: one
+/// `inputs_with_output_bit` list allocated per source constraint, drawn
+/// from in the same order (`gen()` for the state, then one
+/// `gen_range(0..8)` per constraint).
+fn craft_plaintext_with_lists(
+    targets: &[TargetSpec],
+    known_round_keys: &[RoundKey64],
+    rng: &mut StdRng,
+) -> u64 {
+    let mut state: u64 = rng.gen();
+    for target in targets {
+        for b in 0..4 {
+            let src_pos = P64_INV[4 * target.segment + b] as usize;
+            let choices = inputs_with_output_bit((src_pos % 4) as u8, target.forced[b]);
+            let value = choices[rng.gen_range(0..choices.len())];
+            state = with_segment_64(state, src_pos / 4, value);
+        }
+    }
+    invert_with_round_keys_64(state, known_round_keys)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -60,6 +83,35 @@ proptest! {
                 segment_64(round_input, spec.segment),
                 spec.expected_index(v, u)
             );
+        }
+    }
+
+    #[test]
+    fn table_crafting_replays_the_list_algorithm(
+        key in any::<u128>(),
+        stage in 1usize..=4,
+        batch_idx in 0usize..4,
+        take in 1usize..=4,
+        patterns in any::<u16>(),
+        seed in any::<u64>(),
+    ) {
+        // Same plaintext, same RNG state afterwards: the preimage table
+        // changes no draw, so every campaign stays byte-identical.
+        let cipher = Gift64::new(Key::from_u128(key));
+        let known = &cipher.round_keys()[..stage - 1];
+        let specs: Vec<TargetSpec> = disjoint_batches(stage)[batch_idx][..take]
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                TargetSpec::with_forced_pattern(stage, s, (patterns >> (4 * i)) as u8 & 0xf)
+            })
+            .collect();
+        let mut table_rng = StdRng::seed_from_u64(seed);
+        let mut list_rng = table_rng.clone();
+        for _ in 0..3 {
+            let pt = craft_plaintext(&specs, known, &mut table_rng).unwrap();
+            prop_assert_eq!(pt, craft_plaintext_with_lists(&specs, known, &mut list_rng));
+            prop_assert_eq!(&table_rng, &list_rng);
         }
     }
 
