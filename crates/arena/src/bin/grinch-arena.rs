@@ -5,7 +5,7 @@
 //!                  [--max-encryptions N] [--out FILE] [--svg FILE]
 //!                  [--journal FILE] [--no-journal]
 //!                  [--check] [--baseline FILE] [--live ADDR]
-//!                  [--live-interval-ms N] [--watchdog-ms N] [--linger-secs N]
+//!                  [--watchdog-ms N] [--linger-secs N]
 //! grinch-arena render <matrix.json> [--metric success-rate|encryptions|entropy-bits]
 //!                  [--svg FILE]
 //! grinch-arena trace [--epoch N] [--max-encryptions N] [--out-dir DIR]
@@ -36,7 +36,7 @@ usage:
                    [--max-encryptions N] [--out FILE] [--svg FILE]
                    [--journal FILE] [--no-journal]
                    [--check] [--baseline FILE] [--live ADDR]
-                   [--live-interval-ms N] [--watchdog-ms N] [--linger-secs N]
+                   [--watchdog-ms N] [--linger-secs N]
       sweep the (defense x attack x noise) grid and print the success-rate
       heatmap. The grinch-arena/v1 matrix lands in --out (default:
       results/ARENA_MATRIX.json); --svg also renders it as SVG. --check
@@ -55,9 +55,8 @@ usage:
       (ADDR like 127.0.0.1:9090; port 0 picks one — the bound address is
       printed to stderr): GET /metrics (Prometheus text), /progress (JSON),
       /healthz (503 while a worker misses its heartbeat; threshold
-      --watchdog-ms, default 5000). --live-interval-ms (default 250) rate-
-      limits the streamed metric deltas; --linger-secs (default 0) keeps
-      the endpoints up that long after the sweep so late scrapers see the
+      --watchdog-ms, default 5000). --linger-secs (default 0) keeps the
+      endpoints up that long after the sweep so late scrapers see the
       final state. The live plane only observes: the matrix stays
       byte-identical with or without it.
   grinch-arena render <matrix.json> [--metric success-rate|encryptions|entropy-bits]
@@ -151,10 +150,6 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
         .map(PathBuf::from)
         .unwrap_or_else(|| grinch_obs::paths::baselines_dir().join("ARENA_MATRIX.json"));
     let live_addr = take_value(&mut args, "--live")?;
-    let live_interval_ms = match take_value(&mut args, "--live-interval-ms")? {
-        None => 250,
-        Some(v) => parse_num::<u64>("--live-interval-ms", &v)?,
-    };
     let watchdog_ms = match take_value(&mut args, "--watchdog-ms")? {
         None => 5_000,
         Some(v) => parse_num::<u64>("--watchdog-ms", &v)?,
@@ -170,7 +165,6 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
         None => None,
         Some(addr) => {
             let mut opts = LiveOptions::new(addr, format!("arena {preset}"));
-            opts.stream_interval = std::time::Duration::from_millis(live_interval_ms);
             opts.watchdog_threshold = std::time::Duration::from_millis(watchdog_ms);
             let plane = LivePlane::start(&campaign, opts)
                 .map_err(|e| format!("cannot start live plane: {e}"))?;

@@ -7,7 +7,7 @@
 //! index, so the assembled matrix is byte-identical for `jobs = 1` and
 //! `jobs = N`.
 
-use crate::cell::{run_cell, run_cell_hooked, CellResult, TrialProgress};
+use crate::cell::{run_cell_hooked, CellResult, TrialProgress};
 use crate::progress::WorkerEvent;
 use crate::report::ArenaMatrix;
 use crate::spec::CampaignConfig;
@@ -78,76 +78,65 @@ pub fn run_cells(
     let jobs = config.jobs.clamp(1, cells.len().max(1));
 
     let mut results: Vec<Option<CellResult>> = vec![None; cells.len()];
-    if jobs == 1 && observer.is_none() {
-        for (pos, slot) in results.iter_mut().enumerate() {
-            let idx = cells[pos];
-            let result = run_cell(config, idx);
-            if let Some(on_cell) = on_cell {
-                on_cell(idx, &result);
-            }
-            *slot = Some(result);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots = Mutex::new(&mut results);
-        std::thread::scope(|scope| {
-            for worker in 0..jobs {
-                // Each worker thread owns its own sender clone.
-                let tx = observer.cloned();
-                let (next, slots) = (&next, &slots);
-                scope.spawn(move || loop {
-                    let pos = next.fetch_add(1, Ordering::Relaxed);
-                    if pos >= cells.len() {
-                        if let Some(tx) = &tx {
-                            let _ = tx.send(WorkerEvent::WorkerDone { worker });
-                        }
-                        break;
-                    }
-                    let idx = cells[pos];
+    let next = AtomicUsize::new(0);
+    let slots = Mutex::new(&mut results);
+    std::thread::scope(|scope| {
+        for worker in 0..jobs {
+            // Each worker thread owns its own sender clone.
+            let tx = observer.cloned();
+            let (next, slots) = (&next, &slots);
+            scope.spawn(move || loop {
+                let pos = next.fetch_add(1, Ordering::Relaxed);
+                if pos >= cells.len() {
                     if let Some(tx) = &tx {
-                        let (d, a, n) = config.cell_coords(idx);
-                        let _ = tx.send(WorkerEvent::CellStarted {
+                        let _ = tx.send(WorkerEvent::WorkerDone { worker });
+                    }
+                    break;
+                }
+                let idx = cells[pos];
+                if let Some(tx) = &tx {
+                    let (d, a, n) = config.cell_coords(idx);
+                    let _ = tx.send(WorkerEvent::CellStarted {
+                        worker,
+                        cell: idx,
+                        label: format!(
+                            "{}/{}/{}",
+                            config.defenses[d].name(),
+                            config.attacks[a].name(),
+                            config.noise_levels[n]
+                        ),
+                        seed: config.cell_seed(idx),
+                    });
+                }
+                // The heavy work happens outside the lock; the lock
+                // only guards the per-position store.
+                let result = run_cell_hooked(config, idx, &mut |p| {
+                    let Some(tx) = &tx else { return };
+                    let _ = tx.send(match p {
+                        TrialProgress::Started { .. } => WorkerEvent::Heartbeat { worker },
+                        TrialProgress::Done {
+                            trial,
+                            encryptions,
+                            success,
+                        } => WorkerEvent::TrialDone {
                             worker,
                             cell: idx,
-                            label: format!(
-                                "{}/{}/{}",
-                                config.defenses[d].name(),
-                                config.attacks[a].name(),
-                                config.noise_levels[n]
-                            ),
-                            seed: config.cell_seed(idx),
-                        });
-                    }
-                    // The heavy work happens outside the lock; the lock
-                    // only guards the per-position store.
-                    let result = run_cell_hooked(config, idx, &mut |p| {
-                        let Some(tx) = &tx else { return };
-                        let _ = tx.send(match p {
-                            TrialProgress::Started { .. } => WorkerEvent::Heartbeat { worker },
-                            TrialProgress::Done {
-                                trial,
-                                encryptions,
-                                success,
-                            } => WorkerEvent::TrialDone {
-                                worker,
-                                cell: idx,
-                                trial,
-                                encryptions,
-                                success,
-                            },
-                        });
+                            trial,
+                            encryptions,
+                            success,
+                        },
                     });
-                    if let Some(tx) = &tx {
-                        let _ = tx.send(WorkerEvent::CellDone { worker, cell: idx });
-                    }
-                    if let Some(on_cell) = on_cell {
-                        on_cell(idx, &result);
-                    }
-                    slots.lock().expect("poisoned")[pos] = Some(result);
                 });
-            }
-        });
-    }
+                if let Some(tx) = &tx {
+                    let _ = tx.send(WorkerEvent::CellDone { worker, cell: idx });
+                }
+                if let Some(on_cell) = on_cell {
+                    on_cell(idx, &result);
+                }
+                slots.lock().expect("poisoned")[pos] = Some(result);
+            });
+        }
+    });
 
     cells
         .iter()

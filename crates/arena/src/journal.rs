@@ -270,13 +270,7 @@ impl JournalState {
     /// The cell indices this journal is responsible for, in index order:
     /// its shard's cells, or the whole grid for an unsharded journal.
     pub fn target_cells(&self) -> Vec<usize> {
-        let all = 0..self.config.num_cells();
-        match self.shard {
-            Some((index, of)) => all
-                .filter(|&i| self.config.shard_of(i, of) == index)
-                .collect(),
-            None => all.collect(),
-        }
+        self.config.shard_cells(self.shard)
     }
 
     /// Target cells not yet journaled, in index order — what a resume
@@ -526,32 +520,19 @@ pub fn run_journaled(
     }
     let resumable = matching.filter(|state| !state.finalized);
 
-    let (journal, reused, resumed) = match resumable {
+    let (journal, reused, missing, resumed) = match resumable {
         Some(state) => {
             let journal = Journal::resume(path, &state)
                 .map_err(|e| format!("journal {}: {e}", path.display()))?;
-            (journal, state.cells, true)
+            let missing = state.missing_cells();
+            (journal, state.cells, missing, true)
         }
         None => {
             let journal = Journal::create(path, config, shard)
                 .map_err(|e| format!("journal {}: {e}", path.display()))?;
-            (journal, Vec::new(), false)
+            (journal, Vec::new(), config.shard_cells(shard), false)
         }
     };
-
-    let target: Vec<usize> = {
-        let all = 0..config.num_cells();
-        match shard {
-            Some((index, of)) => all.filter(|&i| config.shard_of(i, of) == index).collect(),
-            None => all.collect(),
-        }
-    };
-    let done: std::collections::HashSet<usize> = reused.iter().map(|(idx, _)| *idx).collect();
-    let missing: Vec<usize> = target
-        .iter()
-        .copied()
-        .filter(|idx| !done.contains(idx))
-        .collect();
 
     let append_errors = Mutex::new(Vec::<String>::new());
     let on_cell = |idx: usize, result: &CellResult| {

@@ -23,9 +23,9 @@
 //!   per-cell results streamed to disk with atomic line appends, so an
 //!   interrupted sweep resumes from what it already finished instead of
 //!   restarting — the substrate of the `grinch-campaign` orchestrator;
-//! * [`progress`] — the live plane: worker events collected into streamed
-//!   telemetry deltas and a shared progress view, a stalled-worker
-//!   watchdog, and the [`LivePlane`] assembly behind
+//! * [`progress`] — the live plane: worker events folded by one collector
+//!   thread into a shared progress view (which also backs `/metrics`),
+//!   a stalled-worker watchdog scan, and the [`LivePlane`] assembly behind
 //!   `grinch-arena run --live <addr>`;
 //! * [`report`] — the stable `grinch-arena/v1` JSON document, the
 //!   byte-exact baseline gate, and heatmap rendering via

@@ -1,17 +1,16 @@
-//! The arena's live progress plane: worker events, a collector that turns
-//! them into streamed telemetry, and the stalled-worker watchdog.
+//! The arena's live progress plane: worker events, and a collector that
+//! folds them into the shared progress view and watches for stalls.
 //!
 //! Sweep workers are deliberately dumb about observability — they emit
 //! plain [`WorkerEvent`]s (heartbeats, cell started/completed, per-trial
 //! progress) into an `mpsc` channel and never touch shared state. One
-//! **collector** thread owns the channel's receiving end plus a private
-//! [`Telemetry`] registry: every event updates campaign counters and the
-//! shared [`LiveState`] progress view, and a
-//! [`StreamingSink`] tap periodically emits sequence-numbered delta
-//! snapshots that a [`spawn_delta_applier`] thread folds into the
-//! `/metrics` view. A **watchdog** thread scans worker heartbeat ages and
-//! flags any worker past the missed-heartbeat threshold — `/healthz`
-//! flips to 503 until the worker beats again.
+//! **collector** thread owns the channel's receiving end and folds every
+//! event into the shared [`LiveState`], which the HTTP server renders as
+//! `/progress`, `/healthz` and `/metrics`. Each time the collector wakes —
+//! on an event, or after a quiet poll interval — it also acts as the
+//! watchdog: it flags any worker whose last heartbeat is older than the
+//! missed-heartbeat threshold, and `/healthz` flips to 503 until that
+//! worker beats again.
 //!
 //! Nothing in this pipeline feeds back into the sweep: cell results are a
 //! pure function of `(config, cell_index)`, so the matrix stays
@@ -19,13 +18,11 @@
 //! `tests/live_identity.rs`).
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use grinch_obs::live::{spawn_delta_applier, LiveServer, LiveState, WorkerView};
-use grinch_telemetry::{StreamingSink, Telemetry};
+use grinch_obs::live::{LiveServer, LiveState, WorkerView};
 
 use crate::spec::CampaignConfig;
 
@@ -84,8 +81,6 @@ pub enum WorkerEvent {
 pub struct LiveOptions {
     /// Bind address for the HTTP server (`127.0.0.1:0` = ephemeral port).
     pub addr: String,
-    /// Minimum gap between streamed delta snapshots.
-    pub stream_interval: Duration,
     /// Missed-heartbeat threshold after which the watchdog flags a worker.
     pub watchdog_threshold: Duration,
     /// Campaign label shown in `/progress`.
@@ -93,38 +88,34 @@ pub struct LiveOptions {
 }
 
 impl LiveOptions {
-    /// Defaults: 250 ms stream interval, 5 s watchdog threshold.
+    /// Defaults: 5 s watchdog threshold.
     pub fn new(addr: impl Into<String>, campaign_label: impl Into<String>) -> Self {
         Self {
             addr: addr.into(),
-            stream_interval: Duration::from_millis(250),
             watchdog_threshold: Duration::from_secs(5),
             campaign_label: campaign_label.into(),
         }
     }
 }
 
-/// The assembled live plane: event channel, collector, delta applier,
-/// watchdog and HTTP server, all wired to one shared [`LiveState`].
+/// The assembled live plane: event channel, collector thread and HTTP
+/// server, all wired to one shared [`LiveState`].
 ///
 /// Lifecycle: [`start`](LivePlane::start) before the sweep, hand
 /// [`sender`](LivePlane::sender) clones to the engine, then
 /// [`finish`](LivePlane::finish) once the matrix is assembled (drains and
-/// joins the pipeline, marks progress done) and finally
+/// joins the collector, marks progress done) and finally
 /// [`shutdown`](LivePlane::shutdown) when the endpoints should go away.
 pub struct LivePlane {
     tx: Option<Sender<WorkerEvent>>,
     state: Arc<Mutex<LiveState>>,
     server: LiveServer,
     collector: Option<std::thread::JoinHandle<()>>,
-    applier: Option<std::thread::JoinHandle<()>>,
-    watchdog: Option<std::thread::JoinHandle<()>>,
-    watchdog_stop: Arc<AtomicBool>,
 }
 
 impl LivePlane {
     /// Binds the server, seeds the progress view from `config` and spawns
-    /// the collector / applier / watchdog threads.
+    /// the collector thread.
     pub fn start(config: &CampaignConfig, opts: LiveOptions) -> std::io::Result<Self> {
         let workers = config.jobs.clamp(1, config.num_cells());
         let mut state = LiveState::default();
@@ -139,29 +130,18 @@ impl LivePlane {
         let server = LiveServer::bind(&opts.addr, Arc::clone(&state))?;
 
         let (event_tx, event_rx) = std::sync::mpsc::channel();
-        let (sink, delta_rx) = StreamingSink::channel(opts.stream_interval);
-        let applier = spawn_delta_applier(delta_rx, Arc::clone(&state));
         let collector_state = Arc::clone(&state);
+        let threshold = opts.watchdog_threshold;
         let collector = std::thread::Builder::new()
             .name("arena-collector".to_string())
-            .spawn(move || collector_loop(event_rx, sink, collector_state))
+            .spawn(move || collector_loop(event_rx, collector_state, threshold))
             .expect("spawn collector thread");
-
-        let watchdog_stop = Arc::new(AtomicBool::new(false));
-        let watchdog = Some(spawn_watchdog(
-            Arc::clone(&state),
-            opts.watchdog_threshold,
-            Arc::clone(&watchdog_stop),
-        ));
 
         Ok(Self {
             tx: Some(event_tx),
             state,
             server,
             collector: Some(collector),
-            applier: Some(applier),
-            watchdog,
-            watchdog_stop,
         })
     }
 
@@ -180,20 +160,13 @@ impl LivePlane {
         Arc::clone(&self.state)
     }
 
-    /// Campaign over: drains the event pipeline (collector emits a final
-    /// delta and marks progress done), joins the worker threads of the
-    /// plane and stops the watchdog. The HTTP server keeps serving the
-    /// final state until [`shutdown`](LivePlane::shutdown).
+    /// Campaign over: hangs up the event channel and joins the collector,
+    /// which drains what is left and marks progress done. The HTTP server
+    /// keeps serving the final state until
+    /// [`shutdown`](LivePlane::shutdown).
     pub fn finish(&mut self) {
         self.tx = None; // hang up: collector drains and exits
         if let Some(handle) = self.collector.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.applier.take() {
-            let _ = handle.join();
-        }
-        self.watchdog_stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.watchdog.take() {
             let _ = handle.join();
         }
     }
@@ -212,184 +185,113 @@ impl Drop for LivePlane {
     }
 }
 
-/// The collector: folds worker events into the shared progress view and a
-/// private telemetry registry, and streams delta snapshots from it.
-fn collector_loop(
-    rx: Receiver<WorkerEvent>,
-    mut sink: StreamingSink,
-    state: Arc<Mutex<LiveState>>,
-) {
-    // The live plane's own data bus is always on — `GRINCH_TELEMETRY`
-    // governs the *simulation* traces, not the campaign metrics the
-    // operator explicitly asked for with --live.
-    let tel = Telemetry::new();
-    let heartbeats = tel.register_counter("arena.heartbeats.total");
-    let cells_started = tel.register_counter("arena.cells.started");
-    let cells_completed = tel.register_counter("arena.cells.completed");
-    let trials_completed = tel.register_counter("arena.trials.completed");
-    let trials_succeeded = tel.register_counter("arena.trials.succeeded");
-    let encryptions_total = tel.register_counter("arena.encryptions.total");
-    let workers_active = tel.register_gauge("arena.workers.active");
-    let workers_stalled = tel.register_gauge("arena.workers.stalled");
-    let trial_encryptions = tel.register_histogram("arena.trial.encryptions");
-
-    // Touch the campaign-shape series once so the first delta already
-    // carries a full picture.
-    {
-        let state = state.lock().expect("live state poisoned");
-        tel.set(workers_active, state.progress.workers.len() as f64);
-        tel.set(workers_stalled, 0.0);
-        tel.add(cells_started, 0);
-        tel.add(cells_completed, 0);
-        tel.add(trials_completed, 0);
-        tel.add(encryptions_total, 0);
-    }
-    sink.flush(&tel);
-
+/// The collector: folds worker events into the shared state and, on every
+/// wake-up, runs the watchdog scan. Waits at most `threshold / 4`
+/// (10–50 ms) for an event, so a silent campaign is still scanned.
+fn collector_loop(rx: Receiver<WorkerEvent>, state: Arc<Mutex<LiveState>>, threshold: Duration) {
+    let poll = (threshold / 4).clamp(Duration::from_millis(10), Duration::from_millis(50));
     loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(event) => {
-                let mut locked = state.lock().expect("live state poisoned");
-                let progress = &mut locked.progress;
-                let beat = |w: &mut WorkerView| {
-                    w.last_beat = Some(Instant::now());
-                    w.stalled = false;
-                };
-                match event {
-                    WorkerEvent::Heartbeat { worker } => {
-                        if let Some(w) = progress.workers.get_mut(worker) {
-                            beat(w);
-                        }
-                        tel.inc(heartbeats);
-                    }
-                    WorkerEvent::CellStarted {
-                        worker,
-                        cell,
-                        label,
-                        seed,
-                    } => {
-                        progress.cells_started += 1;
-                        if let Some(w) = progress.workers.get_mut(worker) {
-                            beat(w);
-                            w.current_cell = Some(cell as u64);
-                            w.current_label = label;
-                            w.current_seed = Some(seed);
-                        }
-                        tel.inc(heartbeats);
-                        tel.inc(cells_started);
-                    }
-                    WorkerEvent::TrialDone {
-                        worker,
-                        encryptions,
-                        success,
-                        ..
-                    } => {
-                        progress.trials_completed += 1;
-                        progress.encryptions_total += encryptions;
-                        if let Some(w) = progress.workers.get_mut(worker) {
-                            beat(w);
-                            w.trials_completed += 1;
-                            w.encryptions += encryptions;
-                        }
-                        if let Some(mut batch) = tel.batch() {
-                            batch.inc(heartbeats);
-                            batch.inc(trials_completed);
-                            if success {
-                                batch.inc(trials_succeeded);
-                            }
-                            batch.add(encryptions_total, encryptions);
-                            batch.record(trial_encryptions, encryptions);
-                        }
-                    }
-                    WorkerEvent::CellDone { worker, .. } => {
-                        progress.cells_completed += 1;
-                        if let Some(w) = progress.workers.get_mut(worker) {
-                            beat(w);
-                            w.cells_completed += 1;
-                            w.current_cell = None;
-                            w.current_seed = None;
-                            w.current_label.clear();
-                        }
-                        tel.inc(heartbeats);
-                        tel.inc(cells_completed);
-                    }
-                    WorkerEvent::WorkerDone { worker } => {
-                        if let Some(w) = progress.workers.get_mut(worker) {
-                            beat(w);
-                            w.done = true;
-                            w.current_cell = None;
-                            w.current_seed = None;
-                            w.current_label.clear();
-                        }
-                        let active = progress.workers.iter().filter(|w| !w.done).count();
-                        tel.set(workers_active, active as f64);
-                    }
-                }
-                let stalled = progress.workers.iter().filter(|w| w.stalled).count();
-                drop(locked);
-                tel.set(workers_stalled, stalled as f64);
-                sink.tick(&tel);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                let stalled = {
-                    let state = state.lock().expect("live state poisoned");
-                    state.progress.workers.iter().filter(|w| w.stalled).count()
-                };
-                tel.set(workers_stalled, stalled as f64);
-                sink.tick(&tel);
-            }
+        let event = match rx.recv_timeout(poll) {
+            Ok(event) => Some(event),
+            Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => break,
+        };
+        let mut locked = state.lock().expect("live state poisoned");
+        if let Some(event) = event {
+            fold_event(&mut locked, event);
+        }
+        let newly_stalled = flag_stalls(&mut locked, threshold);
+        drop(locked);
+        for (id, age) in newly_stalled {
+            eprintln!(
+                "grinch-arena: watchdog: worker {id} stalled \
+                 (no heartbeat for {} ms, threshold {} ms)",
+                age.as_millis(),
+                threshold.as_millis()
+            );
         }
     }
-
-    // Final emission, then mark the campaign done for /progress readers.
-    sink.flush(&tel);
     state.lock().expect("live state poisoned").progress.done = true;
 }
 
-/// Spawns the watchdog: every `threshold / 4` (min 10 ms) it flags live
-/// workers whose last heartbeat is older than `threshold`. A flagged
-/// worker recovers on its next event (the collector clears the flag); the
-/// run-wide [`LiveState::stalls_flagged`] tally never decreases.
-pub fn spawn_watchdog(
-    state: Arc<Mutex<LiveState>>,
-    threshold: Duration,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    let poll = (threshold / 4).max(Duration::from_millis(10));
-    std::thread::Builder::new()
-        .name("arena-watchdog".to_string())
-        .spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(poll);
-                let mut locked = state.lock().expect("live state poisoned");
-                let started = locked.progress.started;
-                let mut newly_stalled = Vec::new();
-                for worker in &mut locked.progress.workers {
-                    if worker.done || worker.stalled {
-                        continue;
-                    }
-                    // A worker that never beat is measured from campaign
-                    // start — a wedged very first cell must still be flagged.
-                    let age = worker.last_beat.or(started).map(|at| at.elapsed());
-                    if age.is_some_and(|age| age > threshold) {
-                        worker.stalled = true;
-                        newly_stalled.push((worker.id, age.unwrap_or_default()));
-                    }
-                }
-                locked.stalls_flagged += newly_stalled.len() as u64;
-                drop(locked);
-                for (id, age) in newly_stalled {
-                    eprintln!(
-                        "grinch-arena: watchdog: worker {id} stalled \
-                         (no heartbeat for {} ms, threshold {} ms)",
-                        age.as_millis(),
-                        threshold.as_millis()
-                    );
-                }
-            }
-        })
-        .expect("spawn watchdog thread")
+/// Folds one worker event into the progress view. Every event stamps the
+/// worker's heartbeat and clears its stall flag; all but `WorkerDone`
+/// count as a heartbeat.
+fn fold_event(state: &mut LiveState, event: WorkerEvent) {
+    let progress = &mut state.progress;
+    let worker = match &event {
+        WorkerEvent::Heartbeat { worker }
+        | WorkerEvent::CellStarted { worker, .. }
+        | WorkerEvent::TrialDone { worker, .. }
+        | WorkerEvent::CellDone { worker, .. }
+        | WorkerEvent::WorkerDone { worker } => *worker,
+    };
+    if !matches!(event, WorkerEvent::WorkerDone { .. }) {
+        progress.heartbeats += 1;
+    }
+    // An unknown worker index still counts in the campaign totals.
+    let mut scratch = WorkerView::new(worker);
+    let w = progress.workers.get_mut(worker).unwrap_or(&mut scratch);
+    w.last_beat = Some(Instant::now());
+    w.stalled = false;
+    match event {
+        WorkerEvent::Heartbeat { .. } => {}
+        WorkerEvent::CellStarted {
+            cell, label, seed, ..
+        } => {
+            progress.cells_started += 1;
+            w.current_cell = Some(cell as u64);
+            w.current_label = label;
+            w.current_seed = Some(seed);
+        }
+        WorkerEvent::TrialDone {
+            encryptions,
+            success,
+            ..
+        } => {
+            progress.trials_completed += 1;
+            progress.trials_succeeded += u64::from(success);
+            progress.encryptions_total += encryptions;
+            w.trials_completed += 1;
+            w.encryptions += encryptions;
+        }
+        WorkerEvent::CellDone { .. } => {
+            progress.cells_completed += 1;
+            w.cells_completed += 1;
+            w.current_cell = None;
+            w.current_seed = None;
+            w.current_label.clear();
+        }
+        WorkerEvent::WorkerDone { .. } => {
+            w.done = true;
+            w.current_cell = None;
+            w.current_seed = None;
+            w.current_label.clear();
+        }
+    }
+}
+
+/// The watchdog scan: flags live workers whose last heartbeat is older
+/// than `threshold` and returns `(worker, silence)` for each newly flagged
+/// one. A flagged worker recovers on its next event; the run-wide
+/// [`LiveState::stalls_flagged`] tally never decreases.
+fn flag_stalls(state: &mut LiveState, threshold: Duration) -> Vec<(usize, Duration)> {
+    let started = state.progress.started;
+    let mut newly_stalled = Vec::new();
+    for worker in &mut state.progress.workers {
+        if worker.done || worker.stalled {
+            continue;
+        }
+        // A worker that never beat is measured from campaign start — a
+        // wedged very first cell must still be flagged.
+        let age = worker.last_beat.or(started).map(|at| at.elapsed());
+        if let Some(age) = age.filter(|age| *age > threshold) {
+            worker.stalled = true;
+            newly_stalled.push((worker.id, age));
+        }
+    }
+    state.stalls_flagged += newly_stalled.len() as u64;
+    newly_stalled
 }
 
 #[cfg(test)]
@@ -398,9 +300,7 @@ mod tests {
     use grinch_obs::live::{http_get, validate_exposition};
 
     fn smoke_options(label: &str) -> LiveOptions {
-        let mut opts = LiveOptions::new("127.0.0.1:0", label);
-        opts.stream_interval = Duration::ZERO;
-        opts
+        LiveOptions::new("127.0.0.1:0", label)
     }
 
     #[test]
@@ -444,15 +344,14 @@ mod tests {
         assert_eq!(w0.encryptions, 321);
         assert_eq!(w0.current_cell, None, "cell cleared after CellDone");
         assert!(state.progress.workers[1].done);
-        // Metrics side: the applier folded the collector's deltas.
-        assert_eq!(state.metrics.counters["arena.cells.completed"], 1);
-        assert_eq!(state.metrics.counters["arena.encryptions.total"], 321);
-        assert_eq!(state.metrics.counters["arena.trials.succeeded"], 1);
-        assert_eq!(
-            state.metrics.histograms["arena.trial.encryptions"],
-            (1, 321)
-        );
-        validate_exposition(&state.metrics.exposition()).expect("valid exposition");
+        // Metrics side: the tallies only /metrics shows.
+        assert_eq!(state.progress.trials_succeeded, 1);
+        assert_eq!(state.progress.heartbeats, 4, "WorkerDone is no heartbeat");
+        let text = state.exposition();
+        validate_exposition(&text).expect("valid exposition");
+        assert!(text.contains("arena_trials_succeeded 1\n"));
+        let active = state.progress.workers.len() - 1; // worker 1 is done
+        assert!(text.contains(&format!("arena_workers_active {active}\n")));
     }
 
     #[test]
@@ -542,6 +441,79 @@ mod tests {
             Some((config.num_cells() * config.trials) as u64)
         );
         assert_eq!(matrix.cells.len(), config.num_cells());
+        plane.shutdown();
+    }
+
+    /// The value of one unlabelled sample in a scrape body.
+    fn sample(body: &str, name: &str) -> u64 {
+        body.lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no sample {name} in\n{body}"))
+            .parse()
+            .expect("integer sample")
+    }
+
+    #[test]
+    fn final_metrics_scrape_agrees_with_progress_and_the_matrix() {
+        let config = CampaignConfig::smoke();
+        let mut plane = LivePlane::start(&config, smoke_options("arena smoke")).expect("start");
+        let addr = plane.addr().to_string();
+        let sender = plane.sender();
+        let matrix = crate::engine::run_campaign_observed(&config, Some(&sender));
+        drop(sender);
+        plane.finish();
+
+        let (code, metrics) = http_get(&addr, "/metrics").expect("metrics");
+        assert_eq!(code, 200);
+        validate_exposition(&metrics).expect("final scrape is valid exposition");
+        for family in [
+            "arena_heartbeats_total counter",
+            "arena_cells_started counter",
+            "arena_cells_completed counter",
+            "arena_trials_completed counter",
+            "arena_trials_succeeded counter",
+            "arena_encryptions_total counter",
+            "arena_workers_active gauge",
+            "arena_workers_stalled gauge",
+            "arena_trial_encryptions summary",
+        ] {
+            assert!(
+                metrics.contains(&format!("# TYPE {family}\n")),
+                "missing family {family}"
+            );
+        }
+
+        let (_, body) = http_get(&addr, "/progress").expect("progress");
+        let progress = grinch_telemetry::json::parse(body.trim()).expect("progress json");
+        let total = |key: &str| progress.get(key).and_then(|v| v.as_u64()).expect(key);
+        assert_eq!(
+            sample(&metrics, "arena_cells_completed"),
+            total("cells_completed")
+        );
+        assert_eq!(
+            sample(&metrics, "arena_trials_completed"),
+            total("trials_completed")
+        );
+        assert_eq!(
+            sample(&metrics, "arena_encryptions_total"),
+            total("encryptions_total")
+        );
+        assert_eq!(
+            sample(&metrics, "arena_trial_encryptions_count"),
+            total("trials_completed")
+        );
+        assert_eq!(
+            sample(&metrics, "arena_trial_encryptions_sum"),
+            total("encryptions_total")
+        );
+        let succeeded: u64 = matrix
+            .cells
+            .iter()
+            .map(|c| (c.success_rate * c.trials as f64).round() as u64)
+            .sum();
+        assert!(succeeded > 0, "the smoke grid has undefended cells");
+        assert_eq!(sample(&metrics, "arena_trials_succeeded"), succeeded);
+        assert_eq!(sample(&metrics, "arena_workers_active"), 0);
         plane.shutdown();
     }
 }

@@ -236,6 +236,17 @@ impl CampaignConfig {
         (self.cell_seed(index) % num_shards.max(1) as u64) as usize
     }
 
+    /// The cells a journal cover is responsible for, in index order:
+    /// shard `index` of `of` ([`CampaignConfig::shard_of`]), or the whole
+    /// grid for `None`.
+    pub fn shard_cells(&self, shard: Option<(usize, usize)>) -> Vec<usize> {
+        let all = 0..self.num_cells();
+        match shard {
+            Some((index, of)) => all.filter(|&i| self.shard_of(i, of) == index).collect(),
+            None => all.collect(),
+        }
+    }
+
     /// Serializes the sweep *identity* — every field that determines
     /// results — as one canonical single-line JSON object.
     ///

@@ -33,6 +33,7 @@ use crate::aggregate::{aggregate_plan, Aggregation};
 use crate::shard::ShardPlan;
 use grinch_arena::journal::{run_journaled, JournalState};
 use grinch_arena::{CampaignConfig, Metric};
+use grinch_obs::live::push_family;
 use grinch_obs::{HttpRequest, HttpResponse, LiveServer, Router};
 use grinch_telemetry::json::ObjWriter;
 use std::collections::{BTreeMap, VecDeque};
@@ -506,8 +507,9 @@ fn error_json(message: &str) -> String {
     format!("{}\n", w.finish())
 }
 
-/// Hand-rolled Prometheus exposition of the service counters; the shape
-/// always passes [`grinch_obs::validate_exposition`].
+/// Prometheus exposition of the service counters, written with the live
+/// plane's [`push_family`]; the shape always passes
+/// [`grinch_obs::live::validate_exposition`].
 fn exposition(reg: &Registry) -> String {
     let running = reg
         .entries
@@ -516,9 +518,7 @@ fn exposition(reg: &Registry) -> String {
         .count();
     let mut out = String::new();
     let mut sample = |name: &str, kind: &str, help: &str, value: u64| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-        ));
+        push_family(&mut out, name, kind, help, &[("", value)]);
     };
     sample(
         "grinch_campaign_submissions_total",

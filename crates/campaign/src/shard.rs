@@ -1,10 +1,10 @@
 //! The deterministic shard plan: which cells belong to which shard, and
 //! where each shard's journal lives.
 //!
-//! Shard membership is [`CampaignConfig::shard_of`] — `cell_seed(idx) mod
-//! num_shards` — so the partition is a pure function of the campaign
-//! identity and the shard count. Two consequences the orchestrator leans
-//! on:
+//! Shard membership is [`CampaignConfig::shard_cells`] — the cells whose
+//! `cell_seed(idx) mod num_shards` is the shard index — so the partition
+//! is a pure function of the campaign identity and the shard count. Two
+//! consequences the orchestrator leans on:
 //!
 //! * any subset of shards can run anywhere, in any order, any number of
 //!   times (journals make re-runs no-ops), and the union always covers the
@@ -33,14 +33,12 @@ impl ShardPlan {
     /// (clamped to at least 1).
     pub fn new(config: &CampaignConfig, num_shards: usize) -> Self {
         let num_shards = num_shards.max(1);
-        let mut shards = vec![Vec::new(); num_shards];
-        for idx in 0..config.num_cells() {
-            shards[config.shard_of(idx, num_shards)].push(idx);
-        }
         Self {
             campaign_id: config.fingerprint(),
             num_shards,
-            shards,
+            shards: (0..num_shards)
+                .map(|index| config.shard_cells(Some((index, num_shards))))
+                .collect(),
         }
     }
 

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use super::sentinel::{analyze, SentinelConfig, SeriesVerdict};
+use crate::matrix::xml_escape;
 
 /// Unicode block levels, lowest to highest.
 const SPARK_LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -221,12 +222,6 @@ pub fn trend_svg(name: &str, rows: &[TrendRow]) -> String {
     }
     out.push_str("</svg>\n");
     out
-}
-
-fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
 }
 
 #[cfg(test)]

@@ -17,9 +17,9 @@
 //!   per-stage probe / cycle budgets, cache hit rates;
 //! * [`matrix`] — generic labelled rows × columns heat grids (the arena's
 //!   defense × attack matrix), same ASCII/SVG idiom as [`heatmap`];
-//! * [`live`] — the *during*-the-run half: streamed-delta metric state,
-//!   Prometheus text exposition, campaign progress/health views and a
-//!   zero-dependency HTTP server (`/metrics`, `/progress`, `/healthz`)
+//! * [`live`] — the *during*-the-run half: one campaign progress state
+//!   rendered as Prometheus text exposition, progress and health JSON by
+//!   a zero-dependency HTTP server (`/metrics`, `/progress`, `/healthz`)
 //!   that `grinch-arena run --live` plugs into;
 //! * [`profile`] — span-profile aggregation: per-stack self-time totals
 //!   and collapsed-stack `.folded` output for flamegraph tooling;
@@ -67,8 +67,7 @@ pub use heatmap::Heatmap;
 pub use history::{FlightDump, Ledger, RunRecord, SentinelConfig};
 pub use leakage::{JointCounts, StageLeakage};
 pub use live::{
-    HttpRequest, HttpResponse, LiveServer, LiveState, MetricsState, ProgressView, Router,
-    WorkerView,
+    HttpRequest, HttpResponse, LiveServer, LiveState, ProgressView, Router, WorkerView,
 };
 pub use matrix::MatrixHeat;
 pub use profile::SpanProfile;

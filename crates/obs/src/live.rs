@@ -1,25 +1,26 @@
-//! The live observability plane: an in-memory campaign state fed by
-//! streamed telemetry deltas, exposed over a zero-dependency HTTP server.
+//! The live observability plane: an in-memory campaign state kept current
+//! by its producer, exposed over a zero-dependency HTTP server.
 //!
 //! Everything else in this crate is post-hoc — it reads a JSONL trace
 //! after the run ended. This module is the *during* half:
 //!
-//! * [`MetricsState`] folds the sequence-numbered [`DeltaSnapshot`]s a
-//!   [`StreamingSink`](grinch_telemetry::StreamingSink) emits into a
-//!   cumulative metric view and renders it as Prometheus text exposition
-//!   (`/metrics`);
-//! * [`ProgressView`] / [`WorkerView`] are the generic campaign-progress
-//!   schema a producer (today: `grinch-arena`) keeps updated — cells
-//!   started/completed, per-worker current cell, seed, encryptions,
-//!   heartbeat ages (`/progress`, `/healthz`);
-//! * [`LiveServer`] serves both (plus worker liveness) from a plain
-//!   `std::net::TcpListener` — no async runtime, no HTTP crate; one short
-//!   request per connection is all a scrape needs. Dispatch goes through a
-//!   pluggable [`Router`] ([`HttpRequest`] → [`HttpResponse`], with POST
-//!   bodies and extra response headers), so consumers like the
-//!   `grinch-campaign` orchestrator mount their own endpoints on the same
-//!   server ([`LiveServer::bind_with_router`]); [`default_router`] is the
-//!   stock endpoint set;
+//! * [`ProgressView`] / [`WorkerView`] are the campaign-progress schema a
+//!   producer (today: `grinch-arena`) keeps updated — cells
+//!   started/completed, trial and encryption tallies, per-worker current
+//!   cell, seed, heartbeat ages. [`LiveState`] wraps them with the
+//!   watchdog's verdicts and renders all three documents from that one
+//!   state: `/progress` and `/healthz` as JSON, `/metrics` as Prometheus
+//!   text exposition ([`LiveState::exposition`], written with
+//!   [`push_family`]);
+//! * [`LiveServer`] serves them from a plain `std::net::TcpListener` — no
+//!   async runtime, no HTTP crate; one short request per connection is all
+//!   a scrape needs, and each connection gets one read deadline so a slow
+//!   client cannot hold the server. Dispatch goes through a pluggable
+//!   [`Router`] ([`HttpRequest`] → [`HttpResponse`], with POST bodies and
+//!   extra response headers), so consumers like the `grinch-campaign`
+//!   orchestrator mount their own endpoints on the same server
+//!   ([`LiveServer::bind_with_router`]); [`default_router`] is the stock
+//!   endpoint set;
 //! * [`http_get`] / [`http_post`] are the matching one-shot clients used
 //!   by `grinch-report tail`, the campaign CLI and the tests;
 //! * [`validate_exposition`] checks Prometheus text format rules (every
@@ -31,161 +32,24 @@ use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use grinch_telemetry::json::ObjWriter;
-use grinch_telemetry::DeltaSnapshot;
 
 // ---------------------------------------------------------------------------
-// Metrics: delta folding + Prometheus exposition
+// Prometheus exposition
 // ---------------------------------------------------------------------------
 
-/// Cumulative metric view assembled from streamed deltas.
-///
-/// Deltas carry cumulative values for the series that changed, so folding
-/// is last-write-wins per series; `seq` tracks the newest delta applied
-/// and is itself exported (`grinch_stream_seq`) so a scraper can tell the
-/// stream is advancing.
-#[derive(Debug, Default)]
-pub struct MetricsState {
-    /// Sequence number of the newest applied delta (`None` before the
-    /// first one arrives).
-    pub seq: Option<u64>,
-    /// Simulated clock of the newest applied delta.
-    pub sim_time_ns: u64,
-    /// Counter series, cumulative.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge series, last value.
-    pub gauges: BTreeMap<String, f64>,
-    /// Histogram series, cumulative (count, sum).
-    pub histograms: BTreeMap<String, (u64, u128)>,
-    /// Total spans recorded by the producer.
-    pub spans_total: u64,
-}
-
-impl MetricsState {
-    /// Folds one streamed delta into the view.
-    pub fn apply(&mut self, delta: &DeltaSnapshot) {
-        self.seq = Some(delta.seq);
-        self.sim_time_ns = delta.sim_time_ns;
-        self.spans_total = delta.spans_total;
-        for (name, value) in &delta.counters {
-            self.counters.insert(name.clone(), *value);
-        }
-        for (name, value) in &delta.gauges {
-            self.gauges.insert(name.clone(), *value);
-        }
-        for (name, h) in &delta.histograms {
-            self.histograms.insert(name.clone(), (h.count, h.sum));
-        }
-    }
-
-    /// Renders the view as Prometheus text exposition (format 0.0.4):
-    /// counters and gauges as their native types, histograms as summaries
-    /// (`_count`/`_sum`), plus the stream's own meta series. Every family
-    /// gets exactly one `# TYPE` line; names are sanitized to the metric
-    /// charset and deduplicated, so the output always passes
-    /// [`validate_exposition`].
-    pub fn exposition(&self) -> String {
-        let mut out = String::new();
-        let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
-
-        let mut family = |out: &mut String, name: &str, kind: &str, help: &str| -> bool {
-            if !used.insert(name.to_string()) {
-                // Two source names collapsed to one sanitized family; keep
-                // the first, drop the later one rather than emit an
-                // invalid duplicate family.
-                return false;
-            }
-            if !help.is_empty() {
-                out.push_str(&format!("# HELP {name} {help}\n"));
-            }
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-            true
-        };
-
-        if family(
-            &mut out,
-            "grinch_stream_seq",
-            "counter",
-            "Sequence number of the latest streamed delta snapshot.",
-        ) {
-            let seq = self.seq.map_or(0, |s| s + 1);
-            out.push_str(&format!("grinch_stream_seq {seq}\n"));
-        }
-        if family(
-            &mut out,
-            "grinch_sim_time_ns",
-            "gauge",
-            "Simulated clock of the producer, in nanoseconds.",
-        ) {
-            out.push_str(&format!("grinch_sim_time_ns {}\n", self.sim_time_ns));
-        }
-        if family(
-            &mut out,
-            "grinch_spans_total",
-            "counter",
-            "Trace spans recorded by the producer.",
-        ) {
-            out.push_str(&format!("grinch_spans_total {}\n", self.spans_total));
-        }
-        for (name, value) in &self.counters {
-            let name = sanitize_metric_name(name);
-            if family(&mut out, &name, "counter", "") {
-                out.push_str(&format!("{name} {value}\n"));
-            }
-        }
-        for (name, value) in &self.gauges {
-            let name = sanitize_metric_name(name);
-            if family(&mut out, &name, "gauge", "") {
-                out.push_str(&format!("{name} {}\n", format_prom_f64(*value)));
-            }
-        }
-        for (name, (count, sum)) in &self.histograms {
-            let name = sanitize_metric_name(name);
-            if family(&mut out, &name, "summary", "") {
-                out.push_str(&format!("{name}_sum {sum}\n"));
-                out.push_str(&format!("{name}_count {count}\n"));
-            }
-        }
-        out
-    }
-}
-
-/// Maps a telemetry metric name (`attack.stage1.probes`) onto the
-/// Prometheus metric charset `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-pub fn sanitize_metric_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
-        if ok {
-            out.push(c);
-        } else if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
-
-/// Prometheus sample values are floats; render whole numbers without the
-/// trailing `.0` (both parse, this is just the idiomatic form).
-fn format_prom_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
+/// Appends one metric family in Prometheus text format 0.0.4: its
+/// `# HELP` and `# TYPE` lines, then one `name<suffix> value` sample per
+/// `(suffix, value)` pair — `""` for a counter or gauge, `"_sum"` and
+/// `"_count"` for a summary. The one writer behind every `/metrics` body
+/// in the workspace (the arena's live plane and `grinch-campaign serve`).
+pub fn push_family(out: &mut String, name: &str, kind: &str, help: &str, samples: &[(&str, u64)]) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+    for (suffix, value) in samples {
+        out.push_str(&format!("{name}{suffix} {value}\n"));
     }
 }
 
@@ -409,8 +273,13 @@ pub struct ProgressView {
     pub trials_per_cell: u64,
     /// Trials completed across all cells.
     pub trials_completed: u64,
+    /// Trials whose full key was recovered and verified (`/metrics` only).
+    pub trials_succeeded: u64,
     /// Victim encryptions consumed across all workers.
     pub encryptions_total: u64,
+    /// Heartbeats received: every worker event except `WorkerDone`
+    /// (`/metrics` only).
+    pub heartbeats: u64,
     /// Wall-clock start of the campaign.
     pub started: Option<Instant>,
     /// The campaign finished (the matrix is assembled).
@@ -444,12 +313,10 @@ impl ProgressView {
 }
 
 /// Everything the live endpoints serve, shared as `Arc<Mutex<LiveState>>`
-/// between the producer (collector/watchdog threads) and the server.
+/// between the producer (the collector thread) and the server.
 #[derive(Debug, Default)]
 pub struct LiveState {
-    /// Folded metric view behind `/metrics`.
-    pub metrics: MetricsState,
-    /// Campaign progress behind `/progress`.
+    /// Campaign progress behind `/progress` and `/metrics`.
     pub progress: ProgressView,
     /// The watchdog's missed-heartbeat threshold, echoed by `/healthz`
     /// (`None` when no watchdog is attached).
@@ -495,24 +362,80 @@ impl LiveState {
         w.raw("workers", &format!("[{}]", workers.join(",")));
         w.finish()
     }
-}
 
-/// Spawns a thread that drains a [`DeltaSnapshot`] receiver into the
-/// shared state's [`MetricsState`]. Exits when the sending side hangs up;
-/// join the handle after dropping the producer.
-pub fn spawn_delta_applier(
-    rx: Receiver<DeltaSnapshot>,
-    state: Arc<Mutex<LiveState>>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        while let Ok(delta) = rx.recv() {
-            state
-                .lock()
-                .expect("live state poisoned")
-                .metrics
-                .apply(&delta);
+    /// Renders the `/metrics` body: the campaign's `arena_*` families,
+    /// every value read straight off [`ProgressView`]. The trial
+    /// encryptions summary is the encryption total over the completed
+    /// trials. Always passes [`validate_exposition`].
+    pub fn exposition(&self) -> String {
+        let p = &self.progress;
+        let active = p.workers.iter().filter(|w| !w.done).count() as u64;
+        let stalled = p.workers.iter().filter(|w| w.stalled).count() as u64;
+        let mut out = String::new();
+        for (name, kind, help, value) in [
+            (
+                "arena_heartbeats_total",
+                "counter",
+                "Worker heartbeats received.",
+                p.heartbeats,
+            ),
+            (
+                "arena_cells_started",
+                "counter",
+                "Cells some worker has started.",
+                p.cells_started,
+            ),
+            (
+                "arena_cells_completed",
+                "counter",
+                "Cells fully completed.",
+                p.cells_completed,
+            ),
+            (
+                "arena_trials_completed",
+                "counter",
+                "Trials completed.",
+                p.trials_completed,
+            ),
+            (
+                "arena_trials_succeeded",
+                "counter",
+                "Trials that recovered the key.",
+                p.trials_succeeded,
+            ),
+            (
+                "arena_encryptions_total",
+                "counter",
+                "Victim encryptions consumed.",
+                p.encryptions_total,
+            ),
+            (
+                "arena_workers_active",
+                "gauge",
+                "Workers still draining the queue.",
+                active,
+            ),
+            (
+                "arena_workers_stalled",
+                "gauge",
+                "Workers flagged by the watchdog.",
+                stalled,
+            ),
+        ] {
+            push_family(&mut out, name, kind, help, &[("", value)]);
         }
-    })
+        push_family(
+            &mut out,
+            "arena_trial_encryptions",
+            "summary",
+            "Victim encryptions per completed trial.",
+            &[
+                ("_sum", p.encryptions_total),
+                ("_count", p.trials_completed),
+            ],
+        );
+        out
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -698,7 +621,7 @@ pub fn default_router(state: Arc<Mutex<LiveState>>) -> Router {
     Router::new()
         .get("/metrics", move |_| {
             let state = metrics.lock().expect("live state poisoned");
-            let mut r = HttpResponse::text(200, state.metrics.exposition());
+            let mut r = HttpResponse::text(200, state.exposition());
             r.content_type = "text/plain; version=0.0.4; charset=utf-8".to_string();
             r
         })
@@ -785,7 +708,8 @@ fn serve_loop(listener: TcpListener, router: Router, shutdown: Arc<AtomicBool>) 
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // Requests are one line plus headers; handle inline. A
-                // stuck client cannot wedge the loop past the timeout.
+                // stuck client cannot wedge the loop past the connection
+                // deadline.
                 let _ = handle_connection(stream, &router);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -800,80 +724,17 @@ fn serve_loop(listener: TcpListener, router: Router, shutdown: Arc<AtomicBool>) 
 /// bytes of config JSON; anything bigger gets 413.
 const MAX_BODY_BYTES: usize = 64 * 1024;
 
+/// Everything a connection may take to deliver its request, head and body
+/// together. One deadline per connection, not a per-`read()` timeout: a
+/// client dripping a byte at a time cannot hold the server past it.
+const CONNECTION_DEADLINE: Duration = Duration::from_millis(500);
+
 fn handle_connection(mut stream: TcpStream, router: &Router) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    stream.set_write_timeout(Some(Duration::from_millis(500)))?;
+    stream.set_write_timeout(Some(CONNECTION_DEADLINE))?;
     stream.set_nonblocking(false)?;
-
-    // Read until the end of the request headers (or a sane cap).
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 512];
-    let header_end = loop {
-        if let Some(at) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break Some(at + 4);
-        }
-        if buf.len() > 8192 {
-            break None;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break None,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break None,
-        }
-    };
-
-    let head = String::from_utf8_lossy(&buf[..header_end.unwrap_or(buf.len())]).to_string();
-    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("");
-    let path = path.split('?').next().unwrap_or(path).to_string();
-
-    // A declared body (Content-Length) is read in full before dispatch;
-    // oversized bodies are refused without reading them.
-    let content_length = head
-        .lines()
-        .find_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.trim()
-                .eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse::<usize>().ok())?
-        })
-        .unwrap_or(0);
-    let response = if content_length > MAX_BODY_BYTES {
-        HttpResponse::text(
-            413,
-            format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte cap\n"),
-        )
-    } else {
-        let mut body = match header_end {
-            Some(at) => buf[at..].to_vec(),
-            None => Vec::new(),
-        };
-        while body.len() < content_length {
-            match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => body.extend_from_slice(&chunk[..n]),
-            }
-        }
-        if body.len() < content_length {
-            // EOF or read timeout before the declared body arrived: a
-            // truncated request is refused, never dispatched.
-            HttpResponse::text(
-                400,
-                format!(
-                    "body of {} bytes is shorter than its Content-Length of {content_length}\n",
-                    body.len()
-                ),
-            )
-        } else {
-            body.truncate(content_length);
-            let request = HttpRequest {
-                method,
-                path,
-                body: String::from_utf8_lossy(&body).to_string(),
-            };
-            router.dispatch(&request)
-        }
+    let response = match read_request(&mut stream) {
+        Ok(request) => router.dispatch(&request),
+        Err(refusal) => refusal,
     };
 
     let mut extra = String::new();
@@ -890,6 +751,86 @@ fn handle_connection(mut stream: TcpStream, router: &Router) -> std::io::Result<
     );
     stream.write_all(text.as_bytes())?;
     stream.flush()
+}
+
+/// Reads one request — head, then any `Content-Length` body — within
+/// [`CONNECTION_DEADLINE`]. A request that is incomplete when the peer
+/// stops (EOF), the head outgrows 8 KiB or the deadline passes comes back
+/// as the 400 to answer instead; it is never dispatched.
+fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, HttpResponse> {
+    let deadline = Instant::now() + CONNECTION_DEADLINE;
+    let mut chunk = [0u8; 512];
+    // One read bounded by what is left of the deadline; `None` on EOF,
+    // error or an expired deadline.
+    let mut read_chunk = |buf: &mut Vec<u8>| -> Option<()> {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return None;
+        }
+        stream.set_read_timeout(Some(left)).ok()?;
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => None,
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                Some(())
+            }
+        }
+    };
+
+    let mut buf = Vec::with_capacity(1024);
+    let header_end = loop {
+        if let Some(at) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break at + 4;
+        }
+        if buf.len() > 8192 || read_chunk(&mut buf).is_none() {
+            return Err(HttpResponse::text(
+                400,
+                format!("request headers incomplete after {} bytes\n", buf.len()),
+            ));
+        }
+    };
+
+    let head = String::from_utf8_lossy(&buf[..header_end]).to_string();
+    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
+    let method = parts.next().unwrap_or("").to_string();
+    let path = parts.next().unwrap_or("");
+    let path = path.split('?').next().unwrap_or(path).to_string();
+
+    // A declared body (Content-Length) is read in full before dispatch;
+    // oversized bodies are refused without reading them.
+    let content_length = head
+        .lines()
+        .find_map(|line| {
+            let (name, value) = line.split_once(':')?;
+            name.trim()
+                .eq_ignore_ascii_case("content-length")
+                .then(|| value.trim().parse::<usize>().ok())?
+        })
+        .unwrap_or(0);
+    if content_length > MAX_BODY_BYTES {
+        return Err(HttpResponse::text(
+            413,
+            format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte cap\n"),
+        ));
+    }
+    let mut body = buf.split_off(header_end);
+    while body.len() < content_length {
+        if read_chunk(&mut body).is_none() {
+            return Err(HttpResponse::text(
+                400,
+                format!(
+                    "body of {} bytes is shorter than its Content-Length of {content_length}\n",
+                    body.len()
+                ),
+            ));
+        }
+    }
+    body.truncate(content_length);
+    Ok(HttpRequest {
+        method,
+        path,
+        body: String::from_utf8_lossy(&body).to_string(),
+    })
 }
 
 /// One-shot HTTP GET against a live server: returns `(status_code, body)`.
@@ -960,57 +901,40 @@ pub fn http_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grinch_telemetry::HistogramDelta;
-
-    fn delta(seq: u64) -> DeltaSnapshot {
-        DeltaSnapshot {
-            seq,
-            sim_time_ns: 100 * (seq + 1),
-            counters: vec![("arena.cells.completed".to_string(), seq + 1)],
-            gauges: vec![("arena.workers.stalled".to_string(), 0.0)],
-            histograms: vec![(
-                "probe.latency_ns".to_string(),
-                HistogramDelta {
-                    count: 2 * (seq + 1),
-                    sum: 100 * (seq as u128 + 1),
-                },
-            )],
-            spans_total: seq,
-        }
-    }
-
-    #[test]
-    fn metrics_state_folds_deltas_last_write_wins() {
-        let mut state = MetricsState::default();
-        state.apply(&delta(0));
-        state.apply(&delta(1));
-        assert_eq!(state.seq, Some(1));
-        assert_eq!(state.counters["arena.cells.completed"], 2);
-        assert_eq!(state.histograms["probe.latency_ns"], (4, 200));
-        assert_eq!(state.sim_time_ns, 200);
-    }
 
     #[test]
     fn exposition_is_valid_and_carries_every_family() {
-        let mut state = MetricsState::default();
-        state.apply(&delta(3));
+        let mut state = LiveState::default();
+        let p = &mut state.progress;
+        p.heartbeats = 17;
+        p.cells_started = 5;
+        p.cells_completed = 4;
+        p.trials_completed = 8;
+        p.trials_succeeded = 6;
+        p.encryptions_total = 2_400;
+        p.workers = vec![WorkerView::new(0), WorkerView::new(1), WorkerView::new(2)];
+        p.workers[0].done = true;
+        p.workers[1].stalled = true;
         let text = state.exposition();
-        let samples = validate_exposition(&text).expect("valid exposition");
-        // stream_seq, sim_time, spans, counter, gauge, summary sum+count.
-        assert_eq!(samples, 7);
-        assert!(text.contains("# TYPE arena_cells_completed counter"));
-        assert!(text.contains("arena_cells_completed 4\n"));
-        assert!(text.contains("# TYPE probe_latency_ns summary"));
-        assert!(text.contains("probe_latency_ns_count 8\n"));
-        assert!(text.contains("grinch_stream_seq 4\n"));
-    }
-
-    #[test]
-    fn sanitizer_maps_dots_and_leading_digits() {
-        assert_eq!(sanitize_metric_name("cache.l1.hits"), "cache_l1_hits");
-        assert_eq!(sanitize_metric_name("9lives"), "_9lives");
-        assert_eq!(sanitize_metric_name("ok_name:x"), "ok_name:x");
-        assert_eq!(sanitize_metric_name(""), "_");
+        // Eight single-sample families plus the summary's sum and count.
+        assert_eq!(validate_exposition(&text), Ok(10));
+        for line in [
+            "# TYPE arena_heartbeats_total counter\narena_heartbeats_total 17\n",
+            "# TYPE arena_cells_started counter\narena_cells_started 5\n",
+            "# TYPE arena_cells_completed counter\narena_cells_completed 4\n",
+            "# TYPE arena_trials_completed counter\narena_trials_completed 8\n",
+            "# TYPE arena_trials_succeeded counter\narena_trials_succeeded 6\n",
+            "# TYPE arena_encryptions_total counter\narena_encryptions_total 2400\n",
+            "# TYPE arena_workers_active gauge\narena_workers_active 2\n",
+            "# TYPE arena_workers_stalled gauge\narena_workers_stalled 1\n",
+            "# TYPE arena_trial_encryptions summary\n\
+             arena_trial_encryptions_sum 2400\narena_trial_encryptions_count 8\n",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in\n{text}");
+        }
+        // The new tallies stay out of the /progress document.
+        let progress = state.progress.to_json();
+        assert!(!progress.contains("heartbeats") && !progress.contains("succeeded"));
     }
 
     #[test]
@@ -1094,7 +1018,6 @@ mod tests {
             s.progress.campaign = "test".to_string();
             s.progress.total_cells = 2;
             s.progress.workers = vec![WorkerView::new(0)];
-            s.metrics.apply(&delta(0));
         }
         let server = LiveServer::bind("127.0.0.1:0", Arc::clone(&state)).expect("bind");
         let addr = server.addr().to_string();
@@ -1146,15 +1069,6 @@ mod tests {
         assert_eq!(body, "campaign abc123/status\n");
         custom.shutdown();
 
-        // Applier thread folds streamed deltas into the served state.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let applier = spawn_delta_applier(rx, Arc::clone(&state));
-        tx.send(delta(1)).unwrap();
-        drop(tx);
-        applier.join().unwrap();
-        let (_, body) = http_get(&addr, "/metrics").expect("GET /metrics again");
-        assert!(body.contains("arena_cells_completed 2\n"));
-
         server.shutdown();
     }
 
@@ -1195,6 +1109,60 @@ mod tests {
         let (code, _, _) = http_post(&addr, "/submit", "{}").expect("POST");
         assert_eq!(code, 202);
         assert_eq!(dispatched.load(Ordering::SeqCst), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_dripping_client_cannot_hold_the_server_past_its_deadline() {
+        let server = LiveServer::bind("127.0.0.1:0", Arc::new(Mutex::new(LiveState::default())))
+            .expect("bind");
+        let addr = server.addr().to_string();
+
+        // Drips one header byte every 0.4 s: each read() would finish
+        // inside a per-read timeout, so only a connection deadline ends it.
+        let stop = Arc::new(AtomicBool::new(false));
+        let (connected_tx, connected) = std::sync::mpsc::channel();
+        let dripper = {
+            let (addr, stop) = (addr.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(&addr).expect("connect");
+                let _ = connected_tx.send(());
+                for byte in b"GET /healthz HTTP/1.1\r\n".iter().cycle() {
+                    if stop.load(Ordering::SeqCst) || stream.write_all(&[*byte]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+            })
+        };
+        // The listener's backlog is FIFO: once the dripper has connected,
+        // the server takes it before the /healthz request below.
+        connected.recv().expect("dripper connected");
+
+        let asked = Instant::now();
+        let reply = http_get(&addr, "/healthz");
+        let waited = asked.elapsed();
+        // Stop the dripper before asserting: a server still stuck on it
+        // would otherwise hang the test in `LiveServer::drop`.
+        stop.store(true, Ordering::SeqCst);
+        dripper.join().expect("dripper");
+        assert_eq!(reply.ok().map(|(code, _)| code), Some(200));
+        assert!(
+            waited < Duration::from_millis(1500),
+            "healthz took {waited:?} behind a dripping client"
+        );
+
+        // A head that ends without its blank line is refused, not routed.
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\n")
+            .expect("send");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shutdown");
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("reply");
+        assert!(reply.starts_with("HTTP/1.1 400 "), "got {reply:?}");
         server.shutdown();
     }
 }

@@ -172,7 +172,9 @@ impl MatrixHeat {
     }
 }
 
-fn xml_escape(s: &str) -> String {
+/// Escapes `&`, `<` and `>` for SVG text; the matrix and trend SVG writers
+/// share it.
+pub(crate) fn xml_escape(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")

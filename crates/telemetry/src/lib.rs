@@ -17,7 +17,10 @@
 //! * **sinks** — a JSONL exporter (one metric/span per line), a
 //!   human-readable summary table and a null sink
 //!   ([`Telemetry::disabled`]) that compiles instrumentation down to a
-//!   pointer null-check.
+//!   pointer null-check. Every sink is post-hoc: it exports one snapshot
+//!   after the run. Live campaign progress does not pass through this
+//!   crate; the arena's `--live` plane (`grinch_obs::live`) keeps its own
+//!   tallies.
 //!
 //! The handle is `Rc`-based: simulations here are single-threaded, and a
 //! shared-nothing benchmark can always use one handle per thread and
@@ -51,14 +54,12 @@ pub mod json;
 pub mod read;
 pub mod seed;
 pub mod sink;
-pub mod stream;
 
 pub use flight::{dump_event_count, DEFAULT_FLIGHT_CAPACITY, FLIGHT_SCHEMA};
 pub use histogram::LogHistogram;
 pub use read::{snapshot_from_jsonl, ReadError};
 pub use seed::{splitmix64, SPLITMIX64_GAMMA};
 pub use sink::{snapshot_to_jsonl, summary_string, JsonlSink, NullSink, Sink, SummarySink};
-pub use stream::{DeltaSnapshot, HistogramDelta, StreamingSink};
 
 /// Name of the environment variable that globally disables telemetry.
 pub const TELEMETRY_ENV: &str = "GRINCH_TELEMETRY";
